@@ -20,7 +20,7 @@ from . import __version__
 from .errors import BellkitError, ConfigError, EnumerationCapError
 from .oracle import DEFAULT_CAP, verify_necessary_conditions
 from .report import build_analysis_report
-from .simulate import SimulationConfig, run_experiment, trial_arrays
+from .simulate import SimulationConfig, run_experiment, tally_for_range
 from .stats import bell1964_statistic
 from .trials import (
     TallyTable,
@@ -28,6 +28,7 @@ from .trials import (
     load_tally,
     read_trials,
     tally_from_trials,
+    trial_chunk_writer,
     validate_tally,
     write_tally,
 )
@@ -38,14 +39,18 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_COUNTEREXAMPLE = 4
 
-_CHUNK = 1 << 16
 
+def _fraction_flag(allowed, requirement: str):
+    def parse(text: str) -> Fraction:
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not allowed(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
 
-def _fraction_flag(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    return parse
 
 
 def _angles_flag(text: str) -> tuple[float, ...]:
@@ -71,12 +76,20 @@ def _ints_flag(count: int):
     return parse
 
 
-def _default_shards() -> int:
+def _shard_count(args: argparse.Namespace) -> int:
+    """Partition count: --shards, else BELLKIT_THREADS, else 1."""
+    if args.shards is not None:
+        if args.shards < 1:
+            raise ConfigError("--shards must be >= 1")
+        return args.shards
     raw = os.environ.get("BELLKIT_THREADS", "")
     try:
-        return max(1, int(raw)) if raw else 1
+        shards = int(raw) if raw else 1
     except ValueError:
-        return 1
+        shards = 0
+    if shards < 1:
+        raise ConfigError(f"BELLKIT_THREADS must be an integer >= 1, got {raw!r}")
+    return shards
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,9 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trial file format (with --trials)")
     ana.add_argument("--header", action="store_true",
                      help="skip one header line (csv input)")
-    ana.add_argument("--epsilon", type=_fraction_flag,
+    ana.add_argument("--epsilon", type=_fraction_flag(lambda v: v > 0, "positive"),
                      help="requested no-signalling tolerance")
-    ana.add_argument("--delta", type=_fraction_flag,
+    ana.add_argument("--delta", type=_fraction_flag(lambda v: v >= 0, "nonnegative"),
                      help="requested violation magnitude for the bound thresholds")
     ana.add_argument("--bell1964", type=_ints_flag(6),
                      metavar="n_ac,N_ac,n_ba,N_ba,n_bc,N_bc",
@@ -159,40 +172,22 @@ def _assemble_config(args: argparse.Namespace) -> SimulationConfig:
     return SimulationConfig.from_dict(data)
 
 
-def _emit_trials(cfg: SimulationConfig, path: Path, fmt: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for lo in range(0, cfg.trials, _CHUNK):
-            hi = min(lo + _CHUNK, cfg.trials)
-            s1, s2, o1, o2 = trial_arrays(cfg, lo, hi)
-            if fmt == "jsonl":
-                lines = (
-                    '{"s1":%d,"s2":%d,"o1":%d,"o2":%d}' % row
-                    for row in zip(s1.tolist(), s2.tolist(), o1.tolist(), o2.tolist())
-                )
-            else:
-                lines = (
-                    "%d,%d,%d,%d" % row
-                    for row in zip(s1.tolist(), s2.tolist(), o1.tolist(), o2.tolist())
-                )
-            handle.write("\n".join(lines))
-            handle.write("\n")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         cfg = _assemble_config(args)
+        shards = _shard_count(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    shards = args.shards if args.shards is not None else _default_shards()
-    if shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    run = run_experiment(cfg, shards=shards)
     try:
-        if args.emit_trials is not None:
-            _emit_trials(cfg, args.emit_trials, args.emit_format)
-        write_tally(args.out, run.tally, seed=cfg.seed)
+        if args.emit_trials is None:
+            tally = run_experiment(cfg, shards=shards).tally
+        else:
+            # one ordered pass writes every trial and tallies it
+            with open(args.emit_trials, "w", encoding="utf-8") as handle:
+                write = trial_chunk_writer(handle, args.emit_format)
+                tally = tally_for_range(cfg, 0, cfg.trials, write=write)
+        write_tally(args.out, tally, seed=cfg.seed)
     except OSError as exc:
         print(f"error: write failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -201,7 +196,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "trials": cfg.trials,
         "seed": cfg.seed,
         "model": cfg.model,
-        "tally": run.tally.to_dict(),
+        "tally": tally.to_dict(),
     }
     print(json.dumps(summary, indent=2))
     return EXIT_OK
@@ -222,7 +217,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         tally, path, seed = _load_input_tally(args)
-    except (BellkitError, OSError) as exc:
+    except (BellkitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     check = validate_tally(tally)

@@ -11,11 +11,6 @@ from .stats import Bell1964Result, ChshSummary, chsh_statistic
 from .trials import TallyTable
 
 
-def frac_str(value: Fraction) -> str:
-    """Exact rational rendering, e.g. '3/40' or '2'."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
     """Everything the analyzer derives from one tally, plus provenance."""
@@ -38,7 +33,7 @@ class AnalysisReport:
             "e10": chsh.e10,
             "e11": chsh.e11,
             "s": chsh.s,
-            "s_exact": frac_str(chsh.s_exact),
+            "s_exact": str(chsh.s_exact),
             "sigma": chsh.sigma,
             "n_max": chsh.n_max,
             "n_min": chsh.n_min,
@@ -50,13 +45,13 @@ class AnalysisReport:
         }
         ns_section = {
             "epsilon_achieved": ns.epsilon_achieved,
-            "epsilon_achieved_exact": frac_str(ns.epsilon_achieved_exact),
+            "epsilon_achieved_exact": str(ns.epsilon_achieved_exact),
             "deltas": [
                 {
                     "alpha": d.alpha,
                     "beta": d.beta,
                     "value": d.value,
-                    "value_exact": frac_str(d.value_exact),
+                    "value_exact": str(d.value_exact),
                     "physical": d.physical,
                 }
                 for d in ns.deltas
@@ -69,15 +64,15 @@ class AnalysisReport:
             ns_section["pairs_failing"] = [[d.alpha, d.beta] for d in failing]
         bounds_section = {
             "delta": float(b.delta),
-            "delta_exact": frac_str(b.delta),
+            "delta_exact": str(b.delta),
             "delta_source": b.delta_source,
             "delta_small": float(b.delta_small),
-            "delta_small_exact": frac_str(b.delta_small),
+            "delta_small_exact": str(b.delta_small),
             "required_skew": float(b.required_skew),
-            "required_skew_exact": frac_str(b.required_skew),
+            "required_skew_exact": str(b.required_skew),
             "violation_possible": b.violation_possible,
             "epsilon_floor": float(b.epsilon_floor),
-            "epsilon_floor_exact": frac_str(b.epsilon_floor),
+            "epsilon_floor_exact": str(b.epsilon_floor),
             "min_trials": b.min_trials,
             "min_trials_epsilon": (
                 float(b.min_trials_epsilon) if b.min_trials_epsilon is not None else None
@@ -88,8 +83,8 @@ class AnalysisReport:
             bell_section = {
                 "corr_form": self.bell1964.corr_form,
                 "fraction_form": self.bell1964.fraction_form,
-                "corr_form_exact": frac_str(self.bell1964.corr_form_exact),
-                "fraction_form_exact": frac_str(self.bell1964.fraction_form_exact),
+                "corr_form_exact": str(self.bell1964.corr_form_exact),
+                "fraction_form_exact": str(self.bell1964.fraction_form_exact),
                 "violated": self.bell1964.violated,
             }
         return {

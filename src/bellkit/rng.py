@@ -35,23 +35,6 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def trial_key(seed: int, index: int) -> int:
-    """Per-trial key: output `index` of SplitMix64 seeded with mix64(seed)."""
-    base = mix64(seed)
-    return mix64((base + ((index + 1) * GAMMA)) & MASK64)
-
-
-def trial_word(seed: int, index: int, slot: int) -> int:
-    """Random 64-bit word `slot` of trial `index` under `seed`."""
-    key = trial_key(seed, index)
-    return mix64((key + ((slot + 1) * GAMMA)) & MASK64)
-
-
-def unit_double(word: int) -> float:
-    """Map a 64-bit word to a double in [0, 1) using its top 53 bits."""
-    return (word >> 11) * 2.0**-53
-
-
 def _vec_mix64(z: np.ndarray) -> np.ndarray:
     z = z ^ (z >> np.uint64(30))
     z = z * _V_C1
@@ -61,7 +44,7 @@ def _vec_mix64(z: np.ndarray) -> np.ndarray:
 
 
 def trial_words(seed: int, start: int, stop: int, slot: int) -> np.ndarray:
-    """Vectorized trial_word for indices [start, stop); dtype uint64."""
+    """Random 64-bit words `slot` of trials [start, stop) under `seed`; dtype uint64."""
     idx = np.arange(start, stop, dtype=np.uint64)
     base = np.uint64(mix64(seed))
     keys = _vec_mix64(base + (idx + np.uint64(1)) * _V_GAMMA)
@@ -70,7 +53,7 @@ def trial_words(seed: int, start: int, stop: int, slot: int) -> np.ndarray:
 
 
 def unit_doubles(words: np.ndarray) -> np.ndarray:
-    """Vectorized unit_double."""
+    """Map 64-bit words to doubles in [0, 1) using their top 53 bits."""
     return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 

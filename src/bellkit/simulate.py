@@ -13,9 +13,10 @@ station, which yields the sawtooth correlation E = 1 - 2|dtheta|/pi on
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Iterator, Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .trials import TallyTable, TrialRecord, merge_tallies
 Model = Literal["quantum", "lhv"]
 SettingScheme = Literal["uniform_random", "round_robin"]
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 16
 
 # Maximal-violation angles for the E00+E01+E10-E11 combination under the
 # E = cos(theta_a - theta_b) convention.
@@ -113,7 +114,7 @@ def trial_arrays(
     """Vectorized trials for index range [start, stop): (s1, s2, o1, o2).
 
     This is the single source of randomness for both models; every other
-    surface (per-record sampling, streaming, tallying) evaluates it.
+    surface (per-record sampling, tallying, emitting) evaluates it.
     """
     if not 0 <= start <= stop <= cfg.trials:
         raise ConfigError(f"index range [{start}, {stop}) outside 0..{cfg.trials}")
@@ -148,68 +149,51 @@ def sample_trial(cfg: SimulationConfig, index: int) -> TrialRecord:
     return TrialRecord(int(s1[0]), int(s2[0]), int(o1[0]), int(o2[0]))
 
 
-def sample_quantum_trial(cfg: SimulationConfig, index: int) -> TrialRecord:
-    """Entangled-pair trial at stream position index (model must be quantum)."""
-    if cfg.model != "quantum":
-        raise ConfigError("sample_quantum_trial requires model='quantum'")
-    return sample_trial(cfg, index)
+def tally_for_range(
+    cfg: SimulationConfig, start: int, stop: int, write: Callable[..., None] | None = None
+) -> TallyTable:
+    """Tally of the trials in index range [start, stop).
 
-
-def sample_lhv_trial(cfg: SimulationConfig, index: int) -> TrialRecord:
-    """Hidden-variable trial at stream position index (model must be lhv)."""
-    if cfg.model != "lhv":
-        raise ConfigError("sample_lhv_trial requires model='lhv'")
-    return sample_trial(cfg, index)
-
-
-def tally_for_range(cfg: SimulationConfig, start: int, stop: int) -> TallyTable:
-    """Tally of the trials in index range [start, stop)."""
-    counts = np.zeros(4, dtype=np.int64)
-    corr = np.zeros(4, dtype=np.int64)
+    This is the only loop over trial_arrays chunks. When given, write
+    receives each chunk's (s1, s2, o1, o2) arrays in index order, so a
+    caller can stream the trials and tally them from one generation pass.
+    """
+    # bins 0..3: anti-correlated per setting pair; bins 4..7: correlated
+    counts = np.zeros(8, dtype=np.int64)
     for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        s1, s2, o1, o2 = trial_arrays(cfg, lo, hi)
-        key = ((s1.astype(np.int64) << 1) | s2).astype(np.int64)
-        counts += np.bincount(key, minlength=4)
-        corr += np.bincount(key[o1 == o2], minlength=4)
+        s1, s2, o1, o2 = trial_arrays(cfg, lo, min(lo + _CHUNK, stop))
+        if write is not None:
+            write(s1, s2, o1, o2)
+        counts += np.bincount((o1 == o2) * 4 + s1 * 2 + s2, minlength=8)
+    total = counts[:4] + counts[4:]
     return TallyTable(
-        a=int(counts[0]), b=int(counts[1]), c=int(counts[2]), d=int(counts[3]),
-        n00=int(corr[0]), n01=int(corr[1]), n10=int(corr[2]), n11=int(corr[3]),
+        a=int(total[0]), b=int(total[1]), c=int(total[2]), d=int(total[3]),
+        n00=int(counts[4]), n01=int(counts[5]), n10=int(counts[6]), n11=int(counts[7]),
     )
 
 
-def iter_trials(cfg: SimulationConfig, start: int = 0, stop: int | None = None) -> Iterator[TrialRecord]:
-    """Stream trial records in index order; replayable and deterministic."""
-    stop = cfg.trials if stop is None else stop
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        s1, s2, o1, o2 = trial_arrays(cfg, lo, hi)
-        for i in range(hi - lo):
-            yield TrialRecord(int(s1[i]), int(s2[i]), int(o1[i]), int(o2[i]))
-
-
 class ExperimentRun(NamedTuple):
-    trials: Iterator[TrialRecord]
     tally: TallyTable
 
 
 def run_experiment(cfg: SimulationConfig, shards: int = 1) -> ExperimentRun:
-    """Generate cfg.trials records; return (replayable trial stream, tally).
+    """Tally cfg.trials trials.
 
-    Shards partition the index range into contiguous blocks processed
-    independently and merged in order; because trials are counter-based,
-    the merged tally is identical for every shard count.
+    Shards partition the index range into contiguous blocks, tallied by at
+    most os.cpu_count() worker threads and merged in order; because trials
+    are counter-based, the merged tally is identical for every shard count.
     """
     ranges = shard_ranges(cfg.trials, shards)
     if len(ranges) == 1:
         tally = tally_for_range(cfg, *ranges[0])
     else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        workers = min(len(ranges), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda r: tally_for_range(cfg, *r), ranges))
         tally = parts[0]
         for part in parts[1:]:
             tally = merge_tallies(tally, part)
-    return ExperimentRun(trials=iter_trials(cfg), tally=tally)
+    return ExperimentRun(tally=tally)
 
 
 def analytic_correlation(cfg: SimulationConfig, s1: int, s2: int) -> float:

@@ -26,6 +26,12 @@ CORR_LABELS = ("n00", "n01", "n10", "n11")
 
 _TRIAL_FIELDS = ("s1", "s2", "o1", "o2")
 
+# The one line layout per trial format, shared by every trial writer.
+_LINE_TEMPLATES = {
+    "jsonl": '{"s1":%d,"s2":%d,"o1":%d,"o2":%d}',
+    "csv": "%d,%d,%d,%d",
+}
+
 
 def _check_count(label: str, value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -224,15 +230,32 @@ def parse_trial_line(
         raise ParseError(str(exc), line_number) from exc
 
 
+def _line_template(format: TrialFormat) -> str:
+    try:
+        return _LINE_TEMPLATES[format]
+    except KeyError:
+        raise DomainError(f"unknown trial format: {format!r}") from None
+
+
 def serialize_trial_line(record: TrialRecord, format: TrialFormat = "jsonl") -> str:
     """Render one trial record as a line (no trailing newline)."""
-    if format == "jsonl":
-        return json.dumps(
-            {f: getattr(record, f) for f in _TRIAL_FIELDS}, separators=(",", ":")
-        )
-    if format == "csv":
-        return f"{record.s1},{record.s2},{record.o1},{record.o2}"
-    raise DomainError(f"unknown trial format: {format!r}")
+    return _line_template(format) % (record.s1, record.s2, record.o1, record.o2)
+
+
+def trial_chunk_writer(handle: IO[str], format: TrialFormat = "jsonl"):
+    """A write(s1, s2, o1, o2) callable that appends one line per trial to handle.
+
+    The four arguments are equal-length integer arrays (a chunk of trials
+    in index order); each line is the serialize_trial_line rendering.
+    """
+    template = _line_template(format)
+
+    def write(s1, s2, o1, o2) -> None:
+        rows = zip(s1.tolist(), s2.tolist(), o1.tolist(), o2.tolist())
+        handle.write("\n".join(template % row for row in rows))
+        handle.write("\n")
+
+    return write
 
 
 def read_trials(

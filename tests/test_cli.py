@@ -1,11 +1,24 @@
 """CLI contracts: flags, report schema, exit codes, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bellkit import TallyTable, build_analysis_report, load_tally, write_tally
+import bellkit
+from bellkit import (
+    TallyTable,
+    build_analysis_report,
+    load_tally,
+    parse_trial_line,
+    serialize_trial_line,
+    tally_from_trials,
+    write_tally,
+)
 from bellkit.cli import main
 
 QUANTUM_MAX = ["--angles", "0,1.5707963267948966,0.7853981633974483,-0.7853981633974483"]
@@ -89,6 +102,29 @@ class TestSimulate:
         assert code == 0
         tally, _ = load_tally(out)
         assert tally.setting_counts == (1000, 1000, 1000, 1000)
+
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_emitted_lines_are_canonical_and_shard_free(self, capsys, tmp_path, fmt):
+        # 70,000 trials span two generation chunks
+        outputs = []
+        for shards in ("1", "3"):
+            tally_path = tmp_path / f"t{shards}.json"
+            trials_path = tmp_path / f"trials{shards}.{fmt}"
+            code, _, _ = run_cli(
+                capsys, "simulate", "--model", "lhv", *QUANTUM_MAX,
+                "--trials", "70000", "--seed", "6", "--shards", shards,
+                "--out", str(tally_path), "--emit-trials", str(trials_path),
+                "--emit-format", fmt,
+            )
+            assert code == 0
+            outputs.append((trials_path.read_bytes(), tally_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        lines = outputs[0][0].decode("utf-8").splitlines()
+        assert len(lines) == 70000
+        records = [parse_trial_line(line, format=fmt) for line in lines]
+        assert [serialize_trial_line(rec, format=fmt) for rec in records] == lines
+        assert tally_from_trials(records) == load_tally(tmp_path / "t1.json")[0]
 
 
 class TestAnalyze:
@@ -194,6 +230,38 @@ class TestAnalyze:
         )
         _, stdout, _ = run_cli(capsys, "analyze", "--tally", str(tally_path))
         assert json.loads(stdout)["metadata"]["seed"] == 77
+
+
+NOT_UTF8 = b'{"s1":0,"s2":0,"o1":1,"o2":1}\n\xff\xfe\n'
+
+
+@pytest.mark.parametrize("argv, env, expected", [
+    (["analyze", "--tally", "{tally}", "--epsilon", "0"], {}, 2),
+    (["analyze", "--tally", "{tally}", "--delta", "-1"], {}, 2),
+    (["analyze", "--trials", "{bad}"], {}, 1),
+    (["analyze", "--tally", "{bad}"], {}, 1),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}"],
+     {"BELLKIT_THREADS": "many"}, 2),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}"],
+     {"BELLKIT_THREADS": "0"}, 2),
+], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
+        "threads-not-integer", "threads-zero"])
+def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
+    tally = tmp_path / "tally.json"
+    write_tally(tally, TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    paths = {"tally": tally, "bad": bad, "out": tmp_path / "out.json"}
+    src = str(Path(bellkit.__file__).resolve().parents[1])
+    child_env = {**os.environ, **env,
+                 "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bellkit.cli", *(arg.format(**paths) for arg in argv)],
+        env=child_env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr
 
 
 class TestOracleCommand:

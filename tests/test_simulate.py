@@ -16,15 +16,16 @@ from bellkit import (
     ConfigError,
     SimulationConfig,
     chsh_statistic,
-    iter_trials,
     merge_tallies,
     run_experiment,
-    sample_lhv_trial,
-    sample_quantum_trial,
     sample_trial,
-    tally_from_trials,
 )
-from bellkit.simulate import analytic_correlation, correlation_probability, tally_for_range
+from bellkit.simulate import (
+    analytic_correlation,
+    correlation_probability,
+    tally_for_range,
+    trial_arrays,
+)
 
 
 def make_config(model="quantum", angles=CHSH_MAX_ANGLES, trials=1000, seed=7, **kw):
@@ -102,11 +103,8 @@ class TestQuantumSampler:
 
     def test_outcome_marginals_fair(self):
         cfg = make_config(trials=100_000, seed=3)
-        plus1 = plus2 = 0
-        for rec in iter_trials(cfg):
-            plus1 += rec.o1 == 1
-            plus2 += rec.o2 == 1
-        for plus in (plus1, plus2):
+        _, _, o1, o2 = trial_arrays(cfg, 0, cfg.trials)
+        for plus in (int((o1 == 1).sum()), int((o2 == 1).sum())):
             assert abs(plus - cfg.trials / 2) <= 5 * math.sqrt(cfg.trials) / 2
 
     def test_degenerate_angles(self):
@@ -154,9 +152,9 @@ class TestLhvSampler:
 class TestSettings:
     def test_uniform_random_setting_independence(self):
         cfg = make_config(trials=200_000, seed=21)
-        counts = {}
-        for rec in iter_trials(cfg):
-            counts[(rec.s1, rec.s2)] = counts.get((rec.s1, rec.s2), 0) + 1
+        s1, s2, _, _ = trial_arrays(cfg, 0, cfg.trials)
+        counts = {pair: int(((s1 == pair[0]) & (s2 == pair[1])).sum())
+                  for pair in itertools.product((0, 1), repeat=2)}
         # each pair near N/4
         for pair in itertools.product((0, 1), repeat=2):
             assert abs(counts[pair] - cfg.trials / 4) <= 5 * math.sqrt(cfg.trials * 3 / 16)
@@ -172,9 +170,9 @@ class TestSettings:
 
     def test_round_robin_cycles_in_order(self):
         cfg = make_config(trials=8, setting_scheme="round_robin")
-        recs = list(iter_trials(cfg))
-        assert [(r.s1, r.s2) for r in recs[:4]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert [(r.s1, r.s2) for r in recs[4:]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        s1, s2, _, _ = trial_arrays(cfg, 0, cfg.trials)
+        pairs = list(zip(s1.tolist(), s2.tolist()))
+        assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)] * 2
 
 
 class TestDeterminism:
@@ -193,6 +191,32 @@ class TestDeterminism:
         cfg = make_config(trials=10_001, seed=5)
         assert run_experiment(cfg, shards=shards).tally == run_experiment(cfg).tally
 
+    @pytest.mark.parametrize("cores, workers", [(2, 2), (16, 7), (None, 1)])
+    def test_workers_capped_at_core_count(self, monkeypatch, cores, workers):
+        seen = []
+
+        class InlinePool:
+            """Records max_workers and runs every range in the calling thread."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        cfg = make_config(trials=10_001, seed=5)
+        expected = run_experiment(cfg).tally
+        monkeypatch.setattr("bellkit.simulate.ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr("bellkit.simulate.os.cpu_count", lambda: cores)
+        assert run_experiment(cfg, shards=7).tally == expected
+        assert seen == [workers]
+
     def test_manual_shard_merge(self):
         cfg = make_config(trials=10_000, seed=5)
         quarters = [tally_for_range(cfg, i * 2500, (i + 1) * 2500) for i in range(4)]
@@ -201,27 +225,12 @@ class TestDeterminism:
             merged = merge_tallies(merged, part)
         assert merged == run_experiment(cfg).tally
 
-    def test_stream_matches_tally(self):
-        cfg = make_config(trials=5000, seed=19)
-        run = run_experiment(cfg)
-        assert tally_from_trials(run.trials) == run.tally
-
     def test_scalar_sampler_matches_stream(self):
         for model in ("quantum", "lhv"):
             cfg = make_config(model=model, trials=300, seed=23)
-            stream = list(iter_trials(cfg))
+            stream = list(zip(*(a.tolist() for a in trial_arrays(cfg, 0, cfg.trials))))
             scalar = [sample_trial(cfg, i) for i in range(cfg.trials)]
-            assert stream == scalar
-
-    def test_model_specific_samplers_guard(self):
-        q = make_config(model="quantum", trials=10)
-        lhv = make_config(model="lhv", trials=10)
-        assert sample_quantum_trial(q, 0) == sample_trial(q, 0)
-        assert sample_lhv_trial(lhv, 0) == sample_trial(lhv, 0)
-        with pytest.raises(ConfigError):
-            sample_quantum_trial(lhv, 0)
-        with pytest.raises(ConfigError):
-            sample_lhv_trial(q, 0)
+            assert stream == [(r.s1, r.s2, r.o1, r.o2) for r in scalar]
 
     def test_index_out_of_range(self):
         cfg = make_config(trials=10)
