@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .stats import chsh_exact, skew
-from .trials import CELL_LABELS, TallyTable, require_valid_nonempty
+from .trials import CELL_LABELS, TallyTable
 
 # Unordered setting-cell pairs whose comparison is a physical marginal
 # test: one station's setting is held fixed while the other's varies.
@@ -101,7 +101,7 @@ def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
     max over pairs of |alpha*n_beta - beta*n_alpha| / ((alpha+beta)*min),
     computed exactly.
     """
-    require_valid_nonempty(t)
+    t.require_populated()
     counts = dict(zip(CELL_LABELS, t.setting_counts))
     corr = dict(zip(CELL_LABELS, t.corr_counts))
     deltas = []
@@ -210,7 +210,6 @@ def bounds_report(t: TallyTable, delta=None, epsilon=None) -> BoundsReport:
     delta defaults to the achieved violation magnitude max(0, S - 2);
     epsilon, when given, is the requested no-signalling tolerance.
     """
-    require_valid_nonempty(t)
     n_total = t.total_trials
     if delta is None:
         magnitude = max(Fraction(0), chsh_exact(t) - 2)

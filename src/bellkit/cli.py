@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -29,7 +30,6 @@ from .trials import (
     read_trials,
     tally_from_trials,
     trial_chunk_writer,
-    validate_tally,
     write_tally,
 )
 
@@ -150,7 +150,7 @@ def _assemble_config(args: argparse.Namespace) -> SimulationConfig:
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config document must be a JSON object")
@@ -202,13 +202,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_input_tally(args: argparse.Namespace) -> tuple[TallyTable, Path, int | None]:
-    if args.tally is not None:
-        tally, extras = load_tally(args.tally)
-        seed = extras.get("seed")
-        return tally, args.tally, seed if isinstance(seed, int) else None
-    records = read_trials(args.trials, format=args.format, header=args.header)
-    return tally_from_trials(records), args.trials, None
+class _HashingReader(io.RawIOBase):
+    """A binary file that feeds every byte read from it to a SHA-256 digest."""
+
+    def __init__(self, file: io.FileIO):
+        self._file = file
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _load_input_tally(args: argparse.Namespace) -> tuple[TallyTable, Path, str, int | None]:
+    """The input's tally, path, SHA-256 and recorded seed, from one read of its bytes."""
+    path = args.tally if args.tally is not None else args.trials
+    raw = _HashingReader(open(path, "rb", buffering=0))
+    seed = None
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as text:
+        if args.tally is not None:
+            tally, extras = load_tally(text)
+            seed = extras.get("seed")
+        else:
+            tally = tally_from_trials(read_trials(text, format=args.format, header=args.header))
+    return tally, path, raw.sha256.hexdigest(), seed if isinstance(seed, int) else None
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -216,39 +241,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("error: --header applies to csv input only", file=sys.stderr)
         return EXIT_USAGE
     try:
-        tally, path, seed = _load_input_tally(args)
-    except (BellkitError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    check = validate_tally(tally)
-    if not check.ok:
-        print(f"error: invalid tally: {'; '.join(check.errors)}", file=sys.stderr)
-        return EXIT_INPUT
-    if check.empty_cells:
-        print(f"error: empty setting cell '{check.empty_cells[0]}'", file=sys.stderr)
-        return EXIT_INPUT
-    bell = None
-    if args.bell1964 is not None:
-        n_ac, big_ac, n_ba, big_ba, n_bc, big_bc = args.bell1964
-        try:
+        tally, path, sha256, seed = _load_input_tally(args)
+        bell = None
+        if args.bell1964 is not None:
+            n_ac, big_ac, n_ba, big_ba, n_bc, big_bc = args.bell1964
             bell = bell1964_statistic(
                 ThreeSettingTally(
                     n_ac=n_ac, n_ba=n_ba, n_bc=n_bc,
                     N_ac=big_ac, N_ba=big_ba, N_bc=big_bc,
                 )
             )
-        except BellkitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    report = build_analysis_report(
-        tally,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        bell1964=bell,
-        input_path=str(path),
-        input_sha256=hashlib.sha256(Path(path).read_bytes()).hexdigest(),
-        seed=seed,
-    )
+        report = build_analysis_report(
+            tally,
+            epsilon=args.epsilon,
+            delta=args.delta,
+            bell1964=bell,
+            input_path=str(path),
+            input_sha256=sha256,
+            seed=seed,
+        )
+    except (BellkitError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_VIOLATION if report.chsh.violated else EXIT_OK
 

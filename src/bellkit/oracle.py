@@ -21,7 +21,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .bounds import epsilon_floor, nosignalling_deltas, required_skew
 from .errors import DomainError, EnumerationCapError
@@ -69,42 +69,22 @@ class CounterexampleReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _check_domain(n_per_setting: int, cap: int, outer: Sequence[int]) -> None:
-    if n_per_setting < 1:
-        raise DomainError(f"n_per_setting must be >= 1, got {n_per_setting}")
-    size = len(outer) * (n_per_setting + 1) ** 3
-    if size > cap:
-        raise EnumerationCapError(
-            f"enumeration of {size} tallies exceeds cap {cap}"
-        )
-
-
-def enumerate_uniform_tallies(
-    n_per_setting: int,
-    cap: int = DEFAULT_CAP,
-    n00_values: Iterable[int] | None = None,
-) -> Iterator[TallyTable]:
+def enumerate_uniform_tallies(n_per_setting: int, cap: int = DEFAULT_CAP) -> Iterator[TallyTable]:
     """All tallies with a=b=c=d=n_per_setting, in lexicographic n-order.
 
-    Yields (n_per_setting+1)^4 tallies. n00_values restricts the outermost
-    index so the domain can be partitioned across workers; partitioned
-    enumerations concatenate to the full one.
+    Yields (n_per_setting+1)^4 tallies; raises EnumerationCapError if that exceeds cap.
     """
     q = n_per_setting
-    outer = tuple(range(q + 1)) if n00_values is None else tuple(n00_values)
-    if any(not 0 <= v <= q for v in outer):
-        raise DomainError(f"n00 partition values must lie in 0..{q}")
-    _check_domain(q, cap, outer)
-    inner = range(q + 1)
-    for n00, n01, n10, n11 in itertools.product(outer, inner, inner, inner):
+    if q < 1:
+        raise DomainError(f"n_per_setting must be >= 1, got {q}")
+    size = (q + 1) ** 4
+    if size > cap:
+        raise EnumerationCapError(f"enumeration of {size} tallies exceeds cap {cap}")
+    for n00, n01, n10, n11 in itertools.product(range(q + 1), repeat=4):
         yield TallyTable(a=q, b=q, c=q, d=q, n00=n00, n01=n01, n10=n10, n11=n11)
 
 
-def verify_necessary_conditions(
-    n_per_setting: int,
-    cap: int = DEFAULT_CAP,
-    n00_values: Iterable[int] | None = None,
-) -> CounterexampleReport:
+def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> CounterexampleReport:
     """Check every condition on every enumerated tally; report failures verbatim.
 
     Each tally is pushed through the real statistics pipeline (test value,
@@ -114,7 +94,7 @@ def verify_necessary_conditions(
     started = time.perf_counter()
     checked = 0
     failures: list[tuple[TallyTable, str]] = []
-    for tally in enumerate_uniform_tallies(n_per_setting, cap=cap, n00_values=n00_values):
+    for tally in enumerate_uniform_tallies(n_per_setting, cap=cap):
         checked += 1
         summary = chsh_statistic(tally)
         if not summary.s_prime_min <= summary.s_prime <= summary.s_prime_max:
@@ -137,19 +117,3 @@ def verify_necessary_conditions(
         elapsed_seconds=time.perf_counter() - started,
     )
 
-
-def merge_reports(reports: Sequence[CounterexampleReport]) -> CounterexampleReport:
-    """Combine partitioned verification reports (counterexamples concatenate)."""
-    if not reports:
-        raise DomainError("need at least one report to merge")
-    sizes = {r.n_per_setting for r in reports}
-    if len(sizes) != 1:
-        raise DomainError(f"cannot merge reports over different domains: {sorted(sizes)}")
-    return CounterexampleReport(
-        checked=sum(r.checked for r in reports),
-        counterexamples=tuple(
-            pair for r in reports for pair in r.counterexamples
-        ),
-        n_per_setting=reports[0].n_per_setting,
-        elapsed_seconds=sum(r.elapsed_seconds for r in reports),
-    )

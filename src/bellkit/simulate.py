@@ -55,7 +55,7 @@ class SimulationConfig:
             raise ConfigError(f"unknown setting scheme {self.setting_scheme!r}")
         for name in ("theta_a0", "theta_a1", "theta_b0", "theta_b1"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ConfigError(f"{name} must be a finite angle in radians, got {v!r}")
         if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
@@ -63,6 +63,8 @@ class SimulationConfig:
             raise ConfigError("round_robin settings require trials divisible by 4")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= SEED_MAX:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not isinstance(self.flip_station2, bool):
+            raise ConfigError(f"flip_station2 must be true or false, got {self.flip_station2!r}")
 
     @property
     def station1_angles(self) -> tuple[float, float]:

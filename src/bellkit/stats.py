@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, EmptyCellError, InvariantError
-from .trials import TallyTable, ThreeSettingTally, require_valid_nonempty
+from .errors import DomainError, EmptyCellError
+from .trials import TallyTable, ThreeSettingTally
 
 
 @dataclass(frozen=True)
@@ -46,20 +46,20 @@ class ChshSummary:
         return max(Fraction(0), self.s_exact - 2)
 
 
+def _correlation(corr_count: int, trial_count: int) -> float:
+    return float(Fraction(2 * corr_count - trial_count, trial_count))
+
+
 def correlation_coefficient(corr_count: int, trial_count: int) -> float:
     """E = p(corr) - p(anti-corr) = 2*corr_count/trial_count - 1.
 
-    Correctly rounded to float from the exact rational.
+    Correctly rounded to float from the exact rational. The two counts are
+    checked as the one-cell tally TallyTable(a=trial_count, n00=corr_count).
     """
+    TallyTable(a=trial_count, n00=corr_count)
     if trial_count == 0:
         raise EmptyCellError("trial_count")
-    if trial_count < 0 or corr_count < 0:
-        raise DomainError("counts must be nonnegative")
-    if corr_count > trial_count:
-        raise InvariantError(
-            f"correlated count {corr_count} exceeds trial count {trial_count}"
-        )
-    return float(Fraction(2 * corr_count - trial_count, trial_count))
+    return _correlation(corr_count, trial_count)
 
 
 def uniform_prob_s(p: float) -> float:
@@ -95,7 +95,7 @@ def sprime(t: TallyTable) -> tuple[int, int, int]:
 
 def chsh_exact(t: TallyTable) -> Fraction:
     """Exact rational test value S = 2*(n00/a + n01/b + n10/c - n11/d - 1)."""
-    require_valid_nonempty(t)
+    t.require_populated()
     return 2 * (
         Fraction(t.n00, t.a)
         + Fraction(t.n01, t.b)
@@ -111,12 +111,8 @@ def chsh_statistic(t: TallyTable) -> ChshSummary:
     S = E00 + E01 + E10 - E11; a violation is the strict inequality S > 2,
     decided on the exact rational value.
     """
-    require_valid_nonempty(t)
     s_exact = chsh_exact(t)
-    e_values = [
-        correlation_coefficient(n, m)
-        for n, m in zip(t.corr_counts, t.setting_counts)
-    ]
+    e_values = [_correlation(n, m) for n, m in zip(t.corr_counts, t.setting_counts)]
     sigma, n_max, n_min = skew(t)
     s_prime, s_prime_max, s_prime_min = sprime(t)
     violated = s_exact > 2

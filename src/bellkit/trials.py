@@ -1,9 +1,14 @@
-"""Trial and tally data model: parsing, tallying, merging, validation.
+"""Trial and tally data model: parsing, tallying, merging.
 
 A trial is two setting bits and two +/-1 outcomes. Trials aggregate into a
 tally of eight counts: trials per setting pair (a, b, c, d for settings
 00, 01, 10, 11) and correlated results per setting pair (n00..n11), where
 a trial is *correlated* when the product of its outcomes is +1.
+
+Both types are valid by construction: a TrialRecord holds exact ints in
+their domains, and a TallyTable never has a correlated count above its
+setting count. Inputs are checked once, when they become these types, and
+nothing downstream checks them again.
 """
 
 from __future__ import annotations
@@ -33,14 +38,13 @@ _LINE_TEMPLATES = {
 }
 
 
-def _check_count(label: str, value: object) -> int:
+def _check_count(label: str, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{label} must be an integer, got {value!r}")
+        raise DomainError(f"count '{label}' must be an integer, got {value!r}")
     if value < 0:
-        raise DomainError(f"{label} must be nonnegative, got {value}")
+        raise DomainError(f"count '{label}' must be nonnegative, got {value}")
     if value > COUNT_MAX:
-        raise OverflowError(f"{label} exceeds 64-bit count capacity: {value}")
-    return value
+        raise OverflowError(f"count '{label}' exceeds 64-bit count capacity: {value}")
 
 
 @dataclass(frozen=True)
@@ -55,11 +59,11 @@ class TrialRecord:
     def __post_init__(self):
         for name in ("s1", "s2"):
             v = getattr(self, name)
-            if isinstance(v, bool) or v not in (0, 1):
+            if type(v) is not int or v not in (0, 1):
                 raise DomainError(f"{name} must be 0 or 1, got {v!r}")
         for name in ("o1", "o2"):
             v = getattr(self, name)
-            if isinstance(v, bool) or v not in (-1, 1):
+            if type(v) is not int or v not in (-1, 1):
                 raise DomainError(f"{name} must be +1 or -1, got {v!r}")
 
     @property
@@ -79,9 +83,10 @@ class TallyTable:
 
     a, b, c, d count trials under settings 00, 01, 10, 11; n00..n11 count
     the correlated results under the same settings. Construction checks
-    each field's own domain (nonnegative, 64-bit capacity); cross-field
-    invariants such as n00 <= a are checked by validate_tally so that
-    externally supplied tallies can be represented and then diagnosed.
+    each field's own domain (nonnegative, 64-bit capacity) and the
+    cross-field invariants n00 <= a, n01 <= b, n10 <= c, n11 <= d, so every
+    TallyTable that exists is valid. Empty setting cells are allowed; a
+    statistic that divides by a cell count calls require_populated.
     """
 
     a: int = 0
@@ -96,6 +101,21 @@ class TallyTable:
     def __post_init__(self):
         for label in CELL_LABELS + CORR_LABELS:
             _check_count(label, getattr(self, label))
+        errors = [
+            f"{corr}={n} exceeds {cell}={count}"
+            for cell, corr, count, n in zip(
+                CELL_LABELS, CORR_LABELS, self.setting_counts, self.corr_counts
+            )
+            if n > count
+        ]
+        if errors:
+            raise InvariantError("; ".join(errors))
+
+    def require_populated(self) -> None:
+        """Raise EmptyCellError naming the first setting cell with zero trials."""
+        for cell, count in zip(CELL_LABELS, self.setting_counts):
+            if count == 0:
+                raise EmptyCellError(cell)
 
     @property
     def total_trials(self) -> int:
@@ -151,66 +171,26 @@ class ThreeSettingTally:
                 raise InvariantError(f"n_{pair}={n} exceeds N_{pair}={total}")
 
 
-@dataclass(frozen=True)
-class TallyValidation:
-    """Structured result of validate_tally: hard errors plus empty-cell warnings."""
-
-    ok: bool
-    errors: tuple[str, ...]
-    empty_cells: tuple[str, ...]
-
-
-def validate_tally(t: TallyTable) -> TallyValidation:
-    """Check cross-field invariants and flag empty setting cells.
-
-    Never raises: invalid tallies come back with ok=False and one message
-    per violated bound. Empty cells are warnings, not errors, because a
-    tally with an empty cell is internally consistent even though its
-    correlation coefficient is undefined there.
-    """
-    errors = []
-    for cell, corr in zip(CELL_LABELS, CORR_LABELS):
-        count = getattr(t, cell)
-        n = getattr(t, corr)
-        if n > count:
-            errors.append(f"{corr}={n} exceeds {cell}={count}")
-    empty = tuple(cell for cell in CELL_LABELS if getattr(t, cell) == 0)
-    return TallyValidation(ok=not errors, errors=tuple(errors), empty_cells=empty)
-
-
-def require_valid_nonempty(t: TallyTable) -> None:
-    """Raise unless every invariant holds and every setting cell is populated."""
-    result = validate_tally(t)
-    if not result.ok:
-        raise InvariantError("; ".join(result.errors))
-    if result.empty_cells:
-        raise EmptyCellError(result.empty_cells[0])
-
-
 def parse_trial_line(
     line: str, format: TrialFormat = "jsonl", line_number: int | None = None
 ) -> TrialRecord:
     """Parse one trial record from a line of text.
 
     JSONL lines are objects with integer fields s1, s2, o1, o2; CSV lines
-    are `s1,s2,o1,o2`. Malformed syntax and out-of-domain values raise
-    ParseError, tagged with line_number when given.
+    are `s1,s2,o1,o2`. Malformed syntax and values TrialRecord rejects
+    raise ParseError, tagged with line_number when given.
     """
     if format == "jsonl":
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_number) from exc
+        except ValueError as exc:
+            raise ParseError(f"invalid JSON: {exc}", line_number) from exc
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", line_number)
-        values = []
-        for field in _TRIAL_FIELDS:
-            if field not in obj:
-                raise ParseError(f"missing field '{field}'", line_number)
-            v = obj[field]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ParseError(f"field '{field}' must be an integer, got {v!r}", line_number)
-            values.append(v)
+        missing = [field for field in _TRIAL_FIELDS if field not in obj]
+        if missing:
+            raise ParseError(f"missing field '{missing[0]}'", line_number)
+        values = [obj[field] for field in _TRIAL_FIELDS]
     elif format == "csv":
         parts = line.strip().split(",")
         if len(parts) != 4:
@@ -301,14 +281,12 @@ def tally_from_trials(trials: Iterable[TrialRecord]) -> TallyTable:
 
 
 def merge_tallies(t1: TallyTable, t2: TallyTable) -> TallyTable:
-    """Componentwise sum of two tallies (associative and commutative)."""
-    merged = {}
-    for label in CELL_LABELS + CORR_LABELS:
-        total = getattr(t1, label) + getattr(t2, label)
-        if total > COUNT_MAX:
-            raise OverflowError(f"merged count {label} exceeds 64-bit capacity")
-        merged[label] = total
-    return TallyTable(**merged)
+    """Componentwise sum of two tallies (associative and commutative).
+
+    A sum above COUNT_MAX raises OverflowError, as any TallyTable count does.
+    """
+    labels = CELL_LABELS + CORR_LABELS
+    return TallyTable(**{label: getattr(t1, label) + getattr(t2, label) for label in labels})
 
 
 def write_tally(path: str | Path, t: TallyTable, seed: int | None = None) -> None:
@@ -323,27 +301,26 @@ def write_tally(path: str | Path, t: TallyTable, seed: int | None = None) -> Non
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def load_tally(path: str | Path) -> tuple[TallyTable, dict]:
-    """Load a tally JSON file; returns (tally, extra keys such as seed).
+def load_tally(path: str | Path | IO[str]) -> tuple[TallyTable, dict]:
+    """Load a tally JSON file or text handle; returns (tally, extra keys such as seed).
 
     The eight count fields are required integers; unknown keys are
-    surfaced in the extras dict rather than rejected.
+    surfaced in the extras dict rather than rejected. Anything that is not
+    a valid TallyTable raises ParseError.
     """
+    if isinstance(path, (str, Path)):
+        text = Path(path).read_text(encoding="utf-8")
+    else:
+        text = path.read()
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid tally JSON: {exc.msg}") from exc
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"invalid tally JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("tally file must hold a single JSON object")
-    for key in CELL_LABELS + CORR_LABELS:
-        if key not in data:
-            raise ParseError(f"tally object missing field '{key}'")
-        v = data[key]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ParseError(f"tally field '{key}' must be an integer, got {v!r}")
     try:
         tally = TallyTable.from_dict(data)
-    except (DomainError, OverflowError) as exc:
+    except (DomainError, InvariantError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
     extras = {k: v for k, v in data.items() if k not in CELL_LABELS + CORR_LABELS}
     return tally, extras

@@ -1,0 +1,41 @@
+"""Every exported name and every function the benchmark tracer wraps exists.
+
+perfbench/tracing.py reports a target it cannot find as absent and its
+metrics as null, so a deletion or rename would otherwise pass unnoticed.
+Its TARGETS table is read with ast; perfbench itself is not imported.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import bellkit
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def tracer_targets() -> list[tuple[str, str]]:
+    """(module, attribute) of every TARGETS entry in perfbench/tracing.py."""
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [(entry.elts[1].value, entry.elts[2].value) for entry in node.value.elts]
+    raise AssertionError(f"no TARGETS table in {TRACING}")
+
+
+def resolves(module: str, attr: str) -> bool:
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return callable(owner)
+
+
+def test_public_names_resolve():
+    assert [name for name in bellkit.__all__ if not hasattr(bellkit, name)] == []
+
+
+def test_tracer_targets_resolve():
+    targets = tracer_targets()
+    assert targets
+    assert [target for target in targets if not resolves(*target)] == []

@@ -1,5 +1,6 @@
 """CLI contracts: flags, report schema, exit codes, file round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import bellkit
 from bellkit import (
     TallyTable,
+    TrialRecord,
     build_analysis_report,
     load_tally,
     parse_trial_line,
@@ -222,6 +224,29 @@ class TestAnalyze:
         assert bell["fraction_form"] == pytest.approx(0.55)
         assert bell["violated"] is True
 
+    @pytest.mark.parametrize("name, argv", [
+        ("trials.jsonl", ["--trials"]),
+        ("trials.csv", ["--format", "csv", "--header", "--trials"]),
+        ("tally.json", ["--tally"]),
+    ], ids=["jsonl", "csv-crlf-header", "tally"])
+    def test_input_sha256_is_of_the_parsed_bytes(self, capsys, tmp_path, name, argv):
+        # 4,000 trials: the trial files span several read blocks
+        records = [TrialRecord(i % 4 // 2, i % 2, 1, 1 - 2 * (i % 3 == 0)) for i in range(4000)]
+        tally = tally_from_trials(records)
+        path = tmp_path / name
+        if name.endswith(".json"):
+            write_tally(path, tally, seed=5)
+        else:
+            fmt = name.rsplit(".", 1)[1]
+            lines = [serialize_trial_line(rec, format=fmt) for rec in records]
+            header = ["s1,s2,o1,o2"] if fmt == "csv" else []
+            path.write_bytes("\r\n".join(header + lines + [""]).encode("utf-8"))
+        code, stdout, _ = run_cli(capsys, "analyze", *argv, str(path))
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["tally"] == tally.to_dict()
+        assert report["metadata"]["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_seed_carried_into_metadata(self, capsys, tmp_path):
         tally_path = tmp_path / "t.json"
         run_cli(
@@ -233,6 +258,16 @@ class TestAnalyze:
 
 
 NOT_UTF8 = b'{"s1":0,"s2":0,"o1":1,"o2":1}\n\xff\xfe\n'
+HUGE = "9" * 5000  # above Python's 4300-digit int conversion limit
+INPUTS = {
+    "bad": NOT_UTF8,
+    "huge_trial": b'{"s1":%s,"s2":0,"o1":1,"o2":1}\n' % HUGE.encode(),
+    "huge_tally": b'{"a":%s,"b":1,"c":1,"d":1,"n00":0,"n01":0,"n10":0,"n11":0}' % HUGE.encode(),
+    "huge_seed": b'{"model":"lhv","trials":8,"seed":%s}' % HUGE.encode(),
+    "flip_string": b'{"model":"lhv","trials":8,"flip_station2":"false"}',
+    "angle_bool": b'{"model":"lhv","trials":8,"theta_a0":true}',
+}
+SIMULATE = ["simulate", "--out", "{out}", "--config"]
 
 
 @pytest.mark.parametrize("argv, env, expected", [
@@ -244,14 +279,22 @@ NOT_UTF8 = b'{"s1":0,"s2":0,"o1":1,"o2":1}\n\xff\xfe\n'
      {"BELLKIT_THREADS": "many"}, 2),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}"],
      {"BELLKIT_THREADS": "0"}, 2),
+    (["analyze", "--trials", "{huge_trial}"], {}, 1),
+    (["analyze", "--tally", "{huge_tally}"], {}, 1),
+    (SIMULATE + ["{huge_seed}"], {}, 2),
+    (SIMULATE + ["{bad}"], {}, 2),
+    (SIMULATE + ["{flip_string}"], {}, 2),
+    (SIMULATE + ["{angle_bool}"], {}, 2),
 ], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
-        "threads-not-integer", "threads-zero"])
+        "threads-not-integer", "threads-zero", "trials-huge-int", "tally-huge-count",
+        "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
     tally = tmp_path / "tally.json"
     write_tally(tally, TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2))
-    bad = tmp_path / "bad.txt"
-    bad.write_bytes(NOT_UTF8)
-    paths = {"tally": tally, "bad": bad, "out": tmp_path / "out.json"}
+    paths = {"tally": tally, "out": tmp_path / "out.json"}
+    for name, data in INPUTS.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_bytes(data)
     src = str(Path(bellkit.__file__).resolve().parents[1])
     child_env = {**os.environ, **env,
                  "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

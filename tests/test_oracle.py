@@ -8,7 +8,6 @@ from bellkit import (
     EnumerationCapError,
     TallyTable,
     enumerate_uniform_tallies,
-    merge_reports,
     verify_necessary_conditions,
 )
 from bellkit.oracle import CONDITIONS
@@ -38,13 +37,6 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapError):
             list(enumerate_uniform_tallies(100, cap=10**4))
 
-    def test_partition_concatenates(self):
-        full = list(enumerate_uniform_tallies(2))
-        parts = [
-            list(enumerate_uniform_tallies(2, n00_values=[v])) for v in range(3)
-        ]
-        assert [t for chunk in parts for t in chunk] == full
-
 
 class TestVerification:
     @pytest.mark.parametrize("q,expected", [(1, 16), (4, 625), (6, 2401)])
@@ -67,13 +59,6 @@ class TestVerification:
         assert set(payload) == {
             "checked", "n_per_setting", "conditions", "counterexamples", "elapsed_seconds",
         }
-
-    def test_partitioned_run_merges_to_full(self):
-        full = verify_necessary_conditions(3)
-        parts = [verify_necessary_conditions(3, n00_values=[v]) for v in range(4)]
-        merged = merge_reports(parts)
-        assert merged.checked == full.checked
-        assert merged.counterexamples == full.counterexamples
 
     def test_cap_propagates(self):
         with pytest.raises(EnumerationCapError):

@@ -1,4 +1,4 @@
-"""Trial parsing, tallying, merging, and validation."""
+"""Trial parsing, tallying, merging, and construction-time validation."""
 
 import json
 
@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from bellkit import (
     DomainError,
+    EmptyCellError,
+    InvariantError,
     ParseError,
     TallyTable,
     TrialRecord,
@@ -17,7 +19,6 @@ from bellkit import (
     read_trials,
     serialize_trial_line,
     tally_from_trials,
-    validate_tally,
     write_tally,
 )
 from bellkit.trials import COUNT_MAX
@@ -63,6 +64,10 @@ class TestTrialRecord:
             TrialRecord(0, 0, 0, 1)
         with pytest.raises(DomainError):
             TrialRecord(0, 0, 1, 2)
+        with pytest.raises(DomainError):
+            TrialRecord(1.0, 0, 1, 1)
+        with pytest.raises(DomainError):
+            TrialRecord(0, 0, True, 1)
 
     def test_correlated_is_outcome_product(self):
         assert TrialRecord(0, 0, 1, 1).correlated
@@ -192,19 +197,20 @@ class TestMerge:
 
 class TestValidate:
     def test_bound_violation(self):
-        result = validate_tally(TallyTable(a=4, n00=5))
-        assert not result.ok
-        assert any("n00" in e for e in result.errors)
+        with pytest.raises(InvariantError, match="n00=5 exceeds a=4"):
+            TallyTable(a=4, n00=5)
+        with pytest.raises(InvariantError, match="n01=3 exceeds b=2; n11=1 exceeds d=0"):
+            TallyTable(a=4, b=2, n01=3, n11=1)
 
     def test_valid_no_empty(self):
-        result = validate_tally(TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2))
-        assert result.ok
-        assert result.empty_cells == ()
+        t = TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2)
+        t.require_populated()
+        assert t.corr_counts == (2, 2, 2, 2)
 
     def test_empty_cell_flagged(self):
-        result = validate_tally(TallyTable(a=4, b=0, c=4, d=4, n00=1, n10=1, n11=1))
-        assert result.ok
-        assert result.empty_cells == ("b",)
+        t = TallyTable(a=4, b=0, c=4, d=4, n00=1, n10=1, n11=1)
+        with pytest.raises(EmptyCellError, match="'b'"):
+            t.require_populated()
 
 
 class TestTallyFile:
@@ -228,4 +234,11 @@ class TestTallyFile:
         payload["a"] = 1.5
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match="'a'"):
+            load_tally(path)
+
+    def test_corr_count_above_cell_count(self, tmp_path):
+        path = tmp_path / "t.json"
+        payload = {k: 4 for k in ("a", "b", "c", "d", "n01", "n10", "n11")}
+        path.write_text(json.dumps({**payload, "n00": 5}))
+        with pytest.raises(ParseError, match="n00=5 exceeds a=4"):
             load_tally(path)
