@@ -21,6 +21,7 @@ from . import __version__
 from .errors import BellkitError, ConfigError, EnumerationCapError
 from .oracle import DEFAULT_CAP, verify_necessary_conditions
 from .report import build_analysis_report
+from .rng import SEED_MAX
 from .simulate import SimulationConfig, run_experiment, tally_for_range
 from .stats import bell1964_statistic
 from .trials import (
@@ -233,7 +234,8 @@ def _load_input_tally(args: argparse.Namespace) -> tuple[TallyTable, Path, str, 
             seed = extras.get("seed")
         else:
             tally = tally_from_trials(read_trials(text, format=args.format, header=args.header))
-    return tally, path, raw.sha256.hexdigest(), seed if isinstance(seed, int) else None
+    valid_seed = type(seed) is int and 0 <= seed <= SEED_MAX
+    return tally, path, raw.sha256.hexdigest(), seed if valid_seed else None
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

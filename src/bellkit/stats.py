@@ -41,10 +41,6 @@ class ChshSummary:
     violated: bool
     violation_magnitude: float
 
-    @property
-    def violation_magnitude_exact(self) -> Fraction:
-        return max(Fraction(0), self.s_exact - 2)
-
 
 def _correlation(corr_count: int, trial_count: int) -> float:
     return float(Fraction(2 * corr_count - trial_count, trial_count))

@@ -37,6 +37,9 @@ _LINE_TEMPLATES = {
     "csv": "%d,%d,%d,%d",
 }
 
+# Distinct lines whose records read_trials keeps, per call: a bound on its memory.
+_PARSED_MAX = 1024
+
 
 def _check_count(label: str, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -210,30 +213,30 @@ def parse_trial_line(
         raise ParseError(str(exc), line_number) from exc
 
 
-def _line_template(format: TrialFormat) -> str:
-    try:
-        return _LINE_TEMPLATES[format]
-    except KeyError:
-        raise DomainError(f"unknown trial format: {format!r}") from None
-
-
 def serialize_trial_line(record: TrialRecord, format: TrialFormat = "jsonl") -> str:
     """Render one trial record as a line (no trailing newline)."""
-    return _line_template(format) % (record.s1, record.s2, record.o1, record.o2)
+    try:
+        template = _LINE_TEMPLATES[format]
+    except KeyError:
+        raise DomainError(f"unknown trial format: {format!r}") from None
+    return template % (record.s1, record.s2, record.o1, record.o2)
 
 
 def trial_chunk_writer(handle: IO[str], format: TrialFormat = "jsonl"):
     """A write(s1, s2, o1, o2) callable that appends one line per trial to handle.
 
     The four arguments are equal-length integer arrays (a chunk of trials
-    in index order); each line is the serialize_trial_line rendering.
+    in index order); each line is the serialize_trial_line rendering, one
+    of 16 rendered once and looked up at 8*s1 + 4*s2 + 2*(o1 > 0) + (o2 > 0).
     """
-    template = _line_template(format)
+    lines = [
+        serialize_trial_line(TrialRecord(s1, s2, o1, o2), format) + "\n"
+        for s1 in (0, 1) for s2 in (0, 1) for o1 in (-1, 1) for o2 in (-1, 1)
+    ]
 
     def write(s1, s2, o1, o2) -> None:
-        rows = zip(s1.tolist(), s2.tolist(), o1.tolist(), o2.tolist())
-        handle.write("\n".join(template % row for row in rows))
-        handle.write("\n")
+        index = 8 * s1 + 4 * s2 + 2 * (o1 > 0) + (o2 > 0)
+        handle.write("".join([lines[i] for i in index.tolist()]))
 
     return write
 
@@ -247,18 +250,26 @@ def read_trials(
 
     Blank lines are skipped. With header=True the first line is skipped
     (headerless CSV is the default contract). Parse failures carry the
-    1-based line number.
+    1-based line number. Each of the first _PARSED_MAX distinct lines is
+    parsed once; a repeat of one yields the record parsed before.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             yield from read_trials(handle, format=format, header=header)
         return
-    for lineno, line in enumerate(source, start=1):
-        if header and lineno == 1:
-            continue
-        if not line.strip():
-            continue
-        yield parse_trial_line(line, format=format, line_number=lineno)
+    numbered = enumerate(source, start=1)
+    if header:
+        next(numbered, None)
+    parsed: dict[str, TrialRecord] = {}
+    for lineno, line in numbered:
+        rec = parsed.get(line)
+        if rec is None:
+            if not line.strip():
+                continue
+            rec = parse_trial_line(line, format=format, line_number=lineno)
+            if len(parsed) < _PARSED_MAX:
+                parsed[line] = rec
+        yield rec
 
 
 def tally_from_trials(trials: Iterable[TrialRecord]) -> TallyTable:
@@ -270,9 +281,9 @@ def tally_from_trials(trials: Iterable[TrialRecord]) -> TallyTable:
     counts = [0, 0, 0, 0]
     corr = [0, 0, 0, 0]
     for rec in trials:
-        key = rec.setting_index
+        key = 2 * rec.s1 + rec.s2
         counts[key] += 1
-        if rec.correlated:
+        if rec.o1 == rec.o2:
             corr[key] += 1
     return TallyTable(
         a=counts[0], b=counts[1], c=counts[2], d=counts[3],

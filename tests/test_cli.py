@@ -256,6 +256,17 @@ class TestAnalyze:
         _, stdout, _ = run_cli(capsys, "analyze", "--tally", str(tally_path))
         assert json.loads(stdout)["metadata"]["seed"] == 77
 
+    @pytest.mark.parametrize("seed, echoed", [
+        (True, None), (-7, None), (2**64, None), (2**64 - 1, 2**64 - 1),
+    ], ids=["bool", "negative", "above-64-bit", "max"])
+    def test_only_a_valid_seed_is_echoed(self, capsys, tmp_path, seed, echoed):
+        tally_path = tmp_path / "t.json"
+        counts = TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2).to_dict()
+        tally_path.write_text(json.dumps({**counts, "seed": seed}))
+        code, stdout, _ = run_cli(capsys, "analyze", "--tally", str(tally_path))
+        assert code == 0
+        assert json.loads(stdout)["metadata"]["seed"] == echoed
+
 
 NOT_UTF8 = b'{"s1":0,"s2":0,"o1":1,"o2":1}\n\xff\xfe\n'
 HUGE = "9" * 5000  # above Python's 4300-digit int conversion limit

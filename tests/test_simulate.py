@@ -122,6 +122,20 @@ class TestQuantumSampler:
         assert chsh_statistic(tf).s == pytest.approx(-chsh_statistic(t).s, abs=1e-12)
 
 
+@pytest.mark.parametrize("model", ["quantum", "lhv"])
+@pytest.mark.parametrize("scheme", ["uniform_random", "round_robin"])
+@pytest.mark.parametrize("flip", [False, True])
+def test_correlations_calibrated_across_seeds(model, scheme, flip):
+    # non-maximal angles: each setting pair has its own E, so a bias in one cell shows
+    for seed in range(1, 6):
+        cfg = make_config(model=model, angles=(0.0, 1.2, 0.4, -0.9), trials=400_000,
+                          seed=seed, setting_scheme=scheme, flip_station2=flip)
+        tally = run_experiment(cfg).tally
+        for key, (n, m) in enumerate(zip(tally.corr_counts, tally.setting_counts)):
+            e = analytic_correlation(cfg, key >> 1, key & 1)
+            assert abs(2 * n / m - 1 - e) <= 5 * math.sqrt((1 - e * e) / m), (seed, key)
+
+
 class TestLhvSampler:
     def test_sawtooth_correlation(self):
         # analytic E = 1 - 2|dtheta|/pi on [0, pi]

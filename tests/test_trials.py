@@ -1,9 +1,12 @@
 """Trial parsing, tallying, merging, and construction-time validation."""
 
+import io
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import (
@@ -21,7 +24,8 @@ from bellkit import (
     tally_from_trials,
     write_tally,
 )
-from bellkit.trials import COUNT_MAX
+from bellkit import trials
+from bellkit.trials import COUNT_MAX, trial_chunk_writer
 
 trial_records = st.builds(
     TrialRecord,
@@ -125,6 +129,91 @@ class TestParsing:
     def test_blank_lines_skipped(self):
         lines = ['{"s1":0,"s2":0,"o1":1,"o2":1}', "", "  "]
         assert len(list(read_trials(lines))) == 1
+
+
+ALL_RECORDS = [
+    TrialRecord(s1, s2, o1, o2)
+    for s1 in (0, 1) for s2 in (0, 1) for o1 in (-1, 1) for o2 in (-1, 1)
+]
+BAD_LINES = {
+    "jsonl": ['{"s1":2,"s2":0,"o1":1,"o2":1}\n', '{"s1":1.0,"s2":0,"o1":1,"o2":1}\n',
+              '{"s1":0,"s2":0,"o1":1}\n', "not json\n", "[0,0,1,1]\n"],
+    "csv": ["2,0,1,1\n", "1.0,0,1,1\n", "0,0,1\n", "0,0,1,1,1\n", "s1,s2,o1,o2\n"],
+}
+BLANK_LINES = ["\n", "   \n", "\t\r\n", "\r\n", ""]
+
+
+def unique_line(rec, fmt, n):
+    """A valid line for rec that differs from every other n: an extra key or odd spacing."""
+    if fmt == "jsonl":
+        return '{"s1":%d, "s2":%d,"o1":%d,"o2":%d,"k":%d}\n' % (rec.s1, rec.s2, rec.o1, rec.o2, n)
+    return " " * n + "%d,%d, %d,%d\n" % (rec.s1, rec.s2, rec.o1, rec.o2)
+
+
+@st.composite
+def trial_files(draw):
+    """(format, header, lines) drawn from valid, blank, CRLF, malformed and unique lines."""
+    fmt = draw(st.sampled_from(["jsonl", "csv"]))
+    valid = [serialize_trial_line(rec, fmt) + "\n" for rec in ALL_RECORDS]
+    pool = st.one_of(
+        st.sampled_from(valid),
+        st.sampled_from(valid).map(lambda line: line[:-1] + "\r\n"),
+        st.sampled_from(BLANK_LINES),
+        st.sampled_from(BAD_LINES[fmt]),
+        st.builds(unique_line, st.sampled_from(ALL_RECORDS), st.just(fmt), st.integers(0, 40)),
+    )
+    lines = draw(st.lists(pool, max_size=60))
+    return fmt, draw(st.booleans()), lines
+
+
+def reference_records(lines, fmt, header):
+    """parse_trial_line on every line, with no memo: the contract read_trials keeps."""
+    return [
+        parse_trial_line(line, format=fmt, line_number=lineno)
+        for lineno, line in enumerate(lines, start=1)
+        if not (header and lineno == 1) and line.strip()
+    ]
+
+
+class TestMemoizedIngest:
+    @settings(max_examples=300, deadline=None)
+    @given(trial_files(), st.sampled_from([1, 3, trials._PARSED_MAX]))
+    def test_matches_parse_of_every_line(self, trial_file, cap):
+        fmt, header, lines = trial_file
+        try:
+            expected = brute_force_tally(reference_records(lines, fmt, header))
+        except ParseError as exc:
+            expected = exc
+        with mock.patch.object(trials, "_PARSED_MAX", cap):
+            if isinstance(expected, ParseError):
+                with pytest.raises(ParseError) as raised:
+                    tally_from_trials(read_trials(lines, format=fmt, header=header))
+                assert str(raised.value) == str(expected)
+                assert raised.value.line_number == expected.line_number
+            else:
+                assert tally_from_trials(read_trials(lines, format=fmt, header=header)) == expected
+
+    def test_distinct_lines_past_the_cap(self):
+        cap = trials._PARSED_MAX
+        distinct = [unique_line(ALL_RECORDS[n % 16], "jsonl", n) for n in range(cap + 500)]
+        lines = distinct + distinct + ["broken\n"]
+        parse = mock.Mock(wraps=parse_trial_line)
+        with mock.patch.object(trials, "parse_trial_line", parse):
+            records = []
+            with pytest.raises(ParseError, match=f"line {len(lines)}: invalid JSON"):
+                for rec in read_trials(lines):
+                    records.append(rec)
+        # every distinct line once, the 500 past the cap twice, and the bad line
+        assert parse.call_count == len(distinct) + 500 + 1
+        assert tally_from_trials(records) == brute_force_tally(reference_records(lines[:-1], "jsonl", False))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_emit_table_rows_are_serialized_lines(self, fmt):
+        handle = io.StringIO()
+        columns = zip(*((r.s1, r.s2, r.o1, r.o2) for r in ALL_RECORDS))
+        trial_chunk_writer(handle, fmt)(*(np.array(c, dtype=np.int8) for c in columns))
+        rows = handle.getvalue().splitlines(keepends=True)
+        assert rows == [serialize_trial_line(rec, fmt) + "\n" for rec in ALL_RECORDS]
 
 
 class TestTally:
