@@ -8,6 +8,14 @@ fair individual marginals. The hidden-variable sampler draws a shared
 lambda uniform on [0, 2pi) and answers sign(cos(theta - lambda)) at each
 station, which yields the sawtooth correlation E = 1 - 2|dtheta|/pi on
 [0, pi] and can never exceed the local-realist bound.
+
+One kernel, _chunk, serves trial_arrays and tally_for_range. It derives
+each trial's key once and reads the setting pair k = 2*s1 + s2 as the top
+two bits of slot 0. Whether a quantum trial's outcomes agree depends only
+on slot 2 and k: (w2 >> 11) < ceil(p * 2^53), which is exactly
+unit_doubles(w2) < p. Station 1's outcome (slot 1) is drawn only when the
+outcomes themselves are wanted, so a bare tally reads two words per trial,
+and flip_station2 turns agreement into disagreement after the count.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .rng import SEED_MAX, shard_ranges, trial_words, unit_doubles
+from .rng import SEED_MAX, shard_ranges, trial_keys, trial_words, unit_doubles, unit_threshold
 from .trials import TallyTable, TrialRecord, merge_tallies
 
 Model = Literal["quantum", "lhv"]
@@ -100,14 +108,71 @@ def correlation_probability(cfg: SimulationConfig, s1: int, s2: int) -> float:
     return math.cos(dtheta / 2.0) ** 2
 
 
-def _settings_for_range(cfg: SimulationConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+def _work(size: int) -> list[np.ndarray]:
+    """The three uint64 buffers _chunk overwrites, for chunks of up to size trials."""
+    return [np.empty(size, dtype=np.uint64) for _ in range(3)]
+
+
+def _chunk(
+    cfg: SimulationConfig, start: int, stop: int, outcomes: bool, work: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(k, equal, o1) for trials [start, stop), computed in the _work buffers.
+
+    k is the setting pair 2*s1 + s2 (int64, a view of a buffer), equal
+    whether the two outcomes agree before flip_station2 (bool), and o1
+    station 1's outcome (int8), or None unless outcomes is true.
+    """
+    keys, words, k = (buffer[: stop - start] for buffer in work)
+    trial_keys(cfg.seed, start, stop, out=keys)
     if cfg.setting_scheme == "round_robin":
-        key = np.arange(start, stop, dtype=np.int64) % 4
-        return (key >> 1).astype(np.int8), (key & 1).astype(np.int8)
-    w0 = trial_words(cfg.seed, start, stop, slot=0)
-    s1 = ((w0 >> np.uint64(63)) & np.uint64(1)).astype(np.int8)
-    s2 = ((w0 >> np.uint64(62)) & np.uint64(1)).astype(np.int8)
-    return s1, s2
+        k = np.bitwise_and(np.arange(start, stop, dtype=np.int64), 3, out=k.view(np.int64))
+    else:
+        trial_words(cfg.seed, start, stop, 0, keys, out=k)
+        k >>= np.uint64(62)
+        k = k.view(np.int64)
+    o1 = None
+    if cfg.model == "quantum":
+        thresholds = np.array(
+            [unit_threshold(correlation_probability(cfg, j >> 1, j & 1)) for j in range(4)],
+            dtype=np.uint64,
+        )
+        if outcomes:
+            # unit_doubles(w) < 0.5 exactly when w < 2^63
+            trial_words(cfg.seed, start, stop, 1, keys, out=words)
+            o1 = np.where(words < np.uint64(1 << 63), np.int8(1), np.int8(-1))
+        trial_words(cfg.seed, start, stop, 2, keys, out=words)
+        words >>= np.uint64(11)
+        # the keys are spent, so their buffer takes each trial's threshold
+        equal = words < np.take(thresholds, k, out=keys)
+    else:
+        trial_words(cfg.seed, start, stop, 1, keys, out=words)
+        # the keys are spent, so their buffer takes lambda
+        lam = unit_doubles(words, out=keys.view(np.float64))
+        lam *= 2.0 * math.pi
+        # cos(theta - lambda) per station, with theta looked up by k;
+        # sign(0) := +1, so the responder is total and deterministic.
+        # The tables are float64 even for int angles: np.take casts into
+        # out only from a dtype that casts to it safely.
+        a, b = cfg.station1_angles, cfg.station2_angles
+        phase = words.view(np.float64)
+        np.take(np.array([a[0], a[0], a[1], a[1]], dtype=np.float64), k, out=phase)
+        phase -= lam
+        positive1 = np.cos(phase, out=phase) >= 0.0
+        np.take(np.array([b[0], b[1], b[0], b[1]], dtype=np.float64), k, out=phase)
+        phase -= lam
+        equal = (np.cos(phase, out=phase) >= 0.0) == positive1
+        if outcomes:
+            o1 = np.where(positive1, np.int8(1), np.int8(-1))
+    return k, equal, o1
+
+
+def _arrays(
+    cfg: SimulationConfig, k: np.ndarray, equal: np.ndarray, o1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(s1, s2, o1, o2) as int8 arrays from _chunk's output."""
+    if cfg.flip_station2:
+        equal = ~equal
+    return (k >> 1).astype(np.int8), (k & 1).astype(np.int8), o1, np.where(equal, o1, -o1)
 
 
 def trial_arrays(
@@ -115,32 +180,11 @@ def trial_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized trials for index range [start, stop): (s1, s2, o1, o2).
 
-    This is the single source of randomness for both models; every other
-    surface (per-record sampling, tallying, emitting) evaluates it.
+    This evaluates the same kernel as tally_for_range, in one piece.
     """
     if not 0 <= start <= stop <= cfg.trials:
         raise ConfigError(f"index range [{start}, {stop}) outside 0..{cfg.trials}")
-    s1, s2 = _settings_for_range(cfg, start, stop)
-    if cfg.model == "quantum":
-        u_outcome = unit_doubles(trial_words(cfg.seed, start, stop, slot=1))
-        o1 = np.where(u_outcome < 0.5, 1, -1).astype(np.int8)
-        p_table = np.array(
-            [correlation_probability(cfg, k >> 1, k & 1) for k in range(4)],
-            dtype=np.float64,
-        )
-        u_corr = unit_doubles(trial_words(cfg.seed, start, stop, slot=2))
-        correlated = u_corr < p_table[(s1 << 1) | s2]
-        o2 = np.where(correlated, o1, -o1).astype(np.int8)
-    else:
-        lam = 2.0 * math.pi * unit_doubles(trial_words(cfg.seed, start, stop, slot=1))
-        a_angles = np.array(cfg.station1_angles, dtype=np.float64)
-        b_angles = np.array(cfg.station2_angles, dtype=np.float64)
-        # sign(0) := +1, so the responder is total and deterministic
-        o1 = np.where(np.cos(a_angles[s1] - lam) >= 0.0, 1, -1).astype(np.int8)
-        o2 = np.where(np.cos(b_angles[s2] - lam) >= 0.0, 1, -1).astype(np.int8)
-    if cfg.flip_station2:
-        o2 = (-o2).astype(np.int8)
-    return s1, s2, o1, o2
+    return _arrays(cfg, *_chunk(cfg, start, stop, True, _work(stop - start)))
 
 
 def sample_trial(cfg: SimulationConfig, index: int) -> TrialRecord:
@@ -156,22 +200,33 @@ def tally_for_range(
 ) -> TallyTable:
     """Tally of the trials in index range [start, stop).
 
-    This is the only loop over trial_arrays chunks. When given, write
-    receives each chunk's (s1, s2, o1, o2) arrays in index order, so a
-    caller can stream the trials and tally them from one generation pass.
+    This is the only chunk loop. When given, write receives each chunk's
+    (s1, s2, o1, o2) arrays, as trial_arrays gives them, in index order,
+    so a caller can stream the trials and tally them from one generation
+    pass. Without it no outcome is built, and slot 1 of a quantum trial is
+    not drawn.
     """
-    # bins 0..3: anti-correlated per setting pair; bins 4..7: correlated
+    # bin 2k: outcomes differ under setting pair k; bin 2k + 1: they agree
     counts = np.zeros(8, dtype=np.int64)
+    # Without a hook one set of buffers serves every chunk. With one, each
+    # chunk gets its own, freed before write runs, so they do not add to
+    # the writer's memory peak.
+    work = _work(min(_CHUNK, max(stop - start, 0))) if write is None else None
     for lo in range(start, stop, _CHUNK):
-        s1, s2, o1, o2 = trial_arrays(cfg, lo, min(lo + _CHUNK, stop))
+        hi = min(lo + _CHUNK, stop)
+        k, equal, o1 = _chunk(cfg, lo, hi, write is not None, work or _work(hi - lo))
+        trials = _arrays(cfg, k, equal, o1) if write is not None else ()
+        k <<= 1
+        k += equal
+        counts += np.bincount(k, minlength=8)
+        del k
         if write is not None:
-            write(s1, s2, o1, o2)
-        counts += np.bincount((o1 == o2) * 4 + s1 * 2 + s2, minlength=8)
-    total = counts[:4] + counts[4:]
-    return TallyTable(
-        a=int(total[0]), b=int(total[1]), c=int(total[2]), d=int(total[3]),
-        n00=int(counts[4]), n01=int(counts[5]), n10=int(counts[6]), n11=int(counts[7]),
-    )
+            write(*trials)
+    a, b, c, d = (counts[0::2] + counts[1::2]).tolist()
+    n00, n01, n10, n11 = counts[1::2].tolist()
+    if cfg.flip_station2:
+        n00, n01, n10, n11 = a - n00, b - n01, c - n10, d - n11
+    return TallyTable(a=a, b=b, c=c, d=d, n00=n00, n01=n01, n10=n10, n11=n11)
 
 
 class ExperimentRun(NamedTuple):

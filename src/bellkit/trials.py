@@ -69,16 +69,6 @@ class TrialRecord:
             if type(v) is not int or v not in (-1, 1):
                 raise DomainError(f"{name} must be +1 or -1, got {v!r}")
 
-    @property
-    def setting_index(self) -> int:
-        """Setting pair as 0..3 (00, 01, 10, 11)."""
-        return 2 * self.s1 + self.s2
-
-    @property
-    def correlated(self) -> bool:
-        """True when the outcome product is +1 (outcomes equal)."""
-        return self.o1 * self.o2 == 1
-
 
 @dataclass(frozen=True)
 class TallyTable:

@@ -6,10 +6,15 @@ check would fail spuriously with probability on the order of 1e-6.
 """
 
 import itertools
+import json
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bellkit import (
     CHSH_MAX_ANGLES,
@@ -20,12 +25,15 @@ from bellkit import (
     run_experiment,
     sample_trial,
 )
+from bellkit.cli import main
+from bellkit.rng import unit_doubles, unit_threshold
 from bellkit.simulate import (
     analytic_correlation,
     correlation_probability,
     tally_for_range,
     trial_arrays,
 )
+from bellkit.trials import load_tally
 
 
 def make_config(model="quantum", angles=CHSH_MAX_ANGLES, trials=1000, seed=7, **kw):
@@ -250,3 +258,119 @@ class TestDeterminism:
         cfg = make_config(trials=10)
         with pytest.raises(ConfigError):
             sample_trial(cfg, 10)
+
+
+LHV_ANGLES = (0.0, 1.2, 0.4, -0.9)
+COS2_PI_8 = math.cos(math.pi / 8) ** 2  # P(outcomes equal) at the maximal-violation angles
+
+
+class TestKernel:
+    """The chunk kernel: integer thresholds, the no-hook fork, bounded memory."""
+
+    @given(
+        word=st.integers(0, 2**64 - 1),
+        p=st.floats(0.0, 1.0),
+        near=st.integers(-2, 2),
+        low=st.integers(0, 2**11 - 1),
+    )
+    @example(word=0, p=0.0, near=0, low=0)
+    @example(word=2**64 - 1, p=1.0, near=-1, low=2**11 - 1)
+    @example(word=2**63, p=0.5, near=0, low=0)
+    @example(word=2**63 - 1, p=math.nextafter(0.5, 0.0), near=-1, low=2**11 - 1)
+    @example(word=2**63, p=math.nextafter(0.5, 1.0), near=0, low=0)
+    @example(word=0, p=COS2_PI_8, near=-1, low=2**11 - 1)
+    @example(word=0, p=math.nextafter(COS2_PI_8, 0.0), near=0, low=0)
+    @example(word=0, p=math.nextafter(COS2_PI_8, 1.0), near=-1, low=1)
+    @example(word=1 << 11, p=5e-324, near=0, low=0)
+    def test_integer_threshold_matches_unit_double(self, word, p, near, low):
+        threshold = unit_threshold(p)
+        assert 0 <= threshold <= 2**53
+        # an arbitrary word, and one whose top 53 bits lie next to the threshold
+        top = min(max(threshold + near, 0), 2**53 - 1)
+        words = np.array([word, (top << 11) | low], dtype=np.uint64)
+        as_int = (words >> np.uint64(11)) < np.uint64(threshold)
+        assert as_int.tolist() == (unit_doubles(words) < p).tolist()
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("scheme", ["uniform", "round-robin"])
+    def test_cli_tally_exact_at_zero_and_pi(self, tmp_path, capsys, scheme, flip):
+        cases = (("0.3,0.3,0.3,0.3", True), ("0,0,3.141592653589793,3.141592653589793", False))
+        for angles, all_equal in cases:
+            out = tmp_path / "tally.json"
+            code = main([
+                "simulate", "--model", "quantum", "--angles", angles, "--trials", "40000",
+                "--seed", "42", "--settings", scheme, "--out", str(out),
+            ] + (["--flip-station2"] if flip else []))
+            capsys.readouterr()
+            assert code == 0
+            tally, _ = load_tally(out)
+            equal = all_equal != flip
+            assert tally.corr_counts == (tally.setting_counts if equal else (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("scheme", ["uniform_random", "round_robin"])
+    @pytest.mark.parametrize("model", ["quantum", "lhv"])
+    def test_tally_without_hook_matches_emitted_trials(self, model, scheme, flip, seed):
+        # a range that starts and ends off the 2^16 chunk grid
+        start, stop = 12345, 12345 + 3 * 2**16 + 7
+        cfg = make_config(
+            model=model, angles=CHSH_MAX_ANGLES if model == "quantum" else LHV_ANGLES,
+            trials=4 * 2**16, seed=seed, setting_scheme=scheme, flip_station2=flip,
+        )
+        chunks = []
+        hooked = tally_for_range(cfg, start, stop, write=lambda *arrays: chunks.append(arrays))
+        emitted = [np.concatenate(parts) for parts in zip(*chunks)]
+        for got, want in zip(emitted, trial_arrays(cfg, start, stop)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        s1, s2, o1, o2 = (a.astype(np.int64) for a in emitted)
+        k = 2 * s1 + s2
+        counted = (
+            tuple(np.bincount(k, minlength=4).tolist())
+            + tuple(np.bincount(k[o1 == o2], minlength=4).tolist())
+        )
+        assert tuple(tally_for_range(cfg, start, stop).to_dict().values()) == counted
+        assert tuple(hooked.to_dict().values()) == counted
+
+    @pytest.mark.parametrize("scheme", ["uniform_random", "round_robin"])
+    @pytest.mark.parametrize("model", ["quantum", "lhv"])
+    def test_int_angles_tally_as_floats(self, tmp_path, capsys, model, scheme):
+        # JSON config documents give ints for whole-number angles
+        angles = {"theta_a0": 0, "theta_a1": 1, "theta_b0": 2, "theta_b1": -3}
+        as_ints = SimulationConfig(
+            model=model, trials=2000, seed=5, setting_scheme=scheme, **angles
+        )
+        as_floats = SimulationConfig.from_dict(
+            {**as_ints.to_dict(), **{name: float(v) for name, v in angles.items()}}
+        )
+        want = run_experiment(as_floats).tally
+        assert run_experiment(as_ints).tally == want
+        for got, expected in zip(trial_arrays(as_ints, 0, 2000), trial_arrays(as_floats, 0, 2000)):
+            assert np.array_equal(got, expected)
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "tally.json"
+        cfg_path.write_text(json.dumps({
+            "model": model, "trials": 2000, "seed": 5, "setting_scheme": scheme, **angles,
+        }))
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert load_tally(out)[0] == want
+
+    @pytest.mark.parametrize("scheme", ["uniform_random", "round_robin"])
+    @pytest.mark.parametrize("model", ["quantum", "lhv"])
+    def test_tally_memory_bounded_by_the_chunk(self, model, scheme):
+        def peak(trials):
+            cfg = make_config(model=model, trials=trials, seed=1, setting_scheme=scheme)
+            tracemalloc.start()
+            try:
+                tally_for_range(cfg, 0, trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2**16)  # warm-up: numpy's first-use allocations are not the kernel's
+        small, large = peak(2**18), peak(2**21)
+        # the same up to interpreter objects, which move the peak by under 1 KiB;
+        # one chunk-sized buffer kept per chunk would add 512 KiB per 2^16 trials
+        assert abs(large - small) <= 4096
+        assert large <= 4 * 2**20  # eight 2^16-element 64-bit buffers

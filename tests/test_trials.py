@@ -73,14 +73,6 @@ class TestTrialRecord:
         with pytest.raises(DomainError):
             TrialRecord(0, 0, True, 1)
 
-    def test_correlated_is_outcome_product(self):
-        assert TrialRecord(0, 0, 1, 1).correlated
-        assert TrialRecord(0, 0, -1, -1).correlated
-        assert not TrialRecord(0, 0, 1, -1).correlated
-
-    def test_setting_index(self):
-        assert TrialRecord(1, 0, 1, 1).setting_index == 2
-
 
 class TestParsing:
     def test_jsonl_example(self):
