@@ -3,7 +3,9 @@
 Exit codes are part of the contract so shell pipelines can branch on
 outcomes: 0 success / no violation, 1 unreadable or invalid input,
 2 invalid flags or enumeration cap, 3 CHSH violation (S > 2),
-4 oracle counterexample.
+4 oracle counterexample. Argparse types check every flag, so a bad flag
+exits 2 before any work. Each cmd_* returns (payload, exit code) or
+raises; only main prints, and it maps each error to its exit code.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +27,7 @@ from .oracle import DEFAULT_CAP, verify_necessary_conditions
 from .report import build_analysis_report
 from .rng import SEED_MAX
 from .simulate import SimulationConfig, run_experiment, tally_for_range
-from .stats import bell1964_statistic
+from .stats import Bell1964Result, bell1964_statistic
 from .trials import (
     TallyTable,
     ThreeSettingTally,
@@ -31,6 +35,7 @@ from .trials import (
     read_trials,
     tally_from_trials,
     trial_chunk_writer,
+    write_atomic,
     write_tally,
 )
 
@@ -41,15 +46,23 @@ EXIT_VIOLATION = 3
 EXIT_COUNTEREXAMPLE = 4
 
 
-def _fraction_flag(allowed, requirement: str):
+def _number_flag(accept, requirement: str):
+    """An argparse type: the text as an exact Fraction, kept when accept(number, float) holds."""
+
     def parse(text: str) -> Fraction:
         try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError):
+            # a Decimal keeps an exponent such as 1e999999999 as written; Fraction expands it
+            number = Fraction(text) if "/" in text else Decimal(text)
+            try:
+                approx = float(number)
+            except OverflowError:  # a Fraction past the float range
+                approx = math.inf
+            kept = accept(number, approx)
+        except (ValueError, ArithmeticError):
             raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not allowed(value):
+        if not kept:
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
-        return value
+        return Fraction(text) if number else Fraction(0)
 
     return parse
 
@@ -64,33 +77,30 @@ def _angles_flag(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"invalid angle in {text!r}") from None
 
 
-def _ints_flag(count: int):
-    def parse(text: str) -> tuple[int, ...]:
-        parts = text.split(",")
-        if len(parts) != count:
-            raise argparse.ArgumentTypeError(f"expected {count} comma-separated integers")
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer in {text!r}") from None
-
-    return parse
-
-
-def _shard_count(args: argparse.Namespace) -> int:
-    """Partition count: --shards, else BELLKIT_THREADS, else 1."""
-    if args.shards is not None:
-        if args.shards < 1:
-            raise ConfigError("--shards must be >= 1")
-        return args.shards
-    raw = os.environ.get("BELLKIT_THREADS", "")
+def _bell1964_flag(text: str) -> Bell1964Result:
+    """An argparse type: n_ac,N_ac,n_ba,N_ba,n_bc,N_bc as their three-setting statistics."""
+    parts = text.split(",")
+    if len(parts) != 6:
+        raise argparse.ArgumentTypeError("expected 6 comma-separated integers")
     try:
-        shards = int(raw) if raw else 1
+        counts = [int(p) for p in parts]
+        # the n counts sit at even places and the N counts at odd ones
+        return bell1964_statistic(ThreeSettingTally(*counts[0::2], *counts[1::2]))
     except ValueError:
-        shards = 0
-    if shards < 1:
-        raise ConfigError(f"BELLKIT_THREADS must be an integer >= 1, got {raw!r}")
-    return shards
+        raise argparse.ArgumentTypeError(f"invalid integer in {text!r}") from None
+    except (BellkitError, OverflowError) as exc:  # OverflowError: a count past 2^64 - 1
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str, note: str = "") -> int:
+    """An argparse type: an integer of at least 1; note is added to its error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1{note}, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=Path, required=True, help="tally JSON output path")
     sim.add_argument("--emit-trials", type=Path, help="also stream trials to this path")
     sim.add_argument("--emit-format", choices=["jsonl", "csv"], default="jsonl")
-    sim.add_argument("--shards", type=int, default=None,
+    sim.add_argument("--shards", default=os.environ.get("BELLKIT_THREADS") or "1",
+                     type=lambda text: _positive_int(text, " (its default is BELLKIT_THREADS)"),
                      help="worker shard count (default: BELLKIT_THREADS or 1)")
     sim.set_defaults(func=cmd_simulate)
 
@@ -129,17 +140,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trial file format (with --trials)")
     ana.add_argument("--header", action="store_true",
                      help="skip one header line (csv input)")
-    ana.add_argument("--epsilon", type=_fraction_flag(lambda v: v > 0, "positive"),
+    ana.add_argument("--epsilon",
+                     type=_number_flag(lambda v, f: 0 < f < math.inf, "above 0 and finite as a float"),
                      help="requested no-signalling tolerance")
-    ana.add_argument("--delta", type=_fraction_flag(lambda v: v >= 0, "nonnegative"),
+    # S <= 4 on every tally, so no violation exceeds 2
+    ana.add_argument("--delta",
+                     type=_number_flag(lambda v, f: v == 0 or (f > 0 and v <= 2),
+                                       "0, or above 0 as a float and at most 2"),
                      help="requested violation magnitude for the bound thresholds")
-    ana.add_argument("--bell1964", type=_ints_flag(6),
+    ana.add_argument("--bell1964", type=_bell1964_flag,
                      metavar="n_ac,N_ac,n_ba,N_ba,n_bc,N_bc",
                      help="include the three-setting statistics for these counts")
     ana.set_defaults(func=cmd_analyze)
 
     orc = sub.add_parser("oracle", help="Exhaustively verify the necessity conditions")
-    orc.add_argument("--n-per-setting", type=int, required=True)
+    orc.add_argument("--n-per-setting", type=_positive_int, required=True)
     orc.add_argument("--cap", type=int, default=DEFAULT_CAP,
                      help=f"enumeration size guard (default {DEFAULT_CAP})")
     orc.set_defaults(func=cmd_oracle)
@@ -151,56 +166,31 @@ def _assemble_config(args: argparse.Namespace) -> SimulationConfig:
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config document must be a JSON object")
         data.update(loaded)
-    if args.model is not None:
-        data["model"] = args.model
-    if args.angles is not None:
-        data["theta_a0"], data["theta_a1"], data["theta_b0"], data["theta_b1"] = args.angles
-    if args.trials is not None:
-        data["trials"] = args.trials
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.settings is not None:
-        data["setting_scheme"] = (
-            "uniform_random" if args.settings == "uniform" else "round_robin"
-        )
-    if args.flip_station2 is not None:
-        data["flip_station2"] = args.flip_station2
+    scheme = {"uniform": "uniform_random", "round-robin": "round_robin"}.get(args.settings)
+    flags = {"model": args.model, "trials": args.trials, "seed": args.seed,
+             "setting_scheme": scheme, "flip_station2": args.flip_station2}
+    flags.update(zip(("theta_a0", "theta_a1", "theta_b0", "theta_b1"), args.angles or ()))
+    data.update((name, value) for name, value in flags.items() if value is not None)
     return SimulationConfig.from_dict(data)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = _assemble_config(args)
-        shards = _shard_count(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.emit_trials is None:
-            tally = run_experiment(cfg, shards=shards).tally
-        else:
-            # one ordered pass writes every trial and tallies it
-            with open(args.emit_trials, "w", encoding="utf-8") as handle:
-                write = trial_chunk_writer(handle, args.emit_format)
-                tally = tally_for_range(cfg, 0, cfg.trials, write=write)
-        write_tally(args.out, tally, seed=cfg.seed)
-    except OSError as exc:
-        print(f"error: write failed: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    summary = {
-        "out": str(args.out),
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "model": cfg.model,
-        "tally": tally.to_dict(),
-    }
-    print(json.dumps(summary, indent=2))
-    return EXIT_OK
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
+    cfg = _assemble_config(args)
+    if args.emit_trials is None:
+        tally = run_experiment(cfg, shards=args.shards).tally
+    else:
+        # one ordered pass writes every trial and tallies it
+        tally = write_atomic(args.emit_trials, lambda handle: tally_for_range(
+            cfg, 0, cfg.trials, write=trial_chunk_writer(handle, args.emit_format)))
+    write_tally(args.out, tally, seed=cfg.seed)
+    summary = {"out": str(args.out), "trials": cfg.trials, "seed": cfg.seed,
+               "model": cfg.model, "tally": tally.to_dict()}
+    return summary, EXIT_OK
 
 
 class _HashingReader(io.RawIOBase):
@@ -238,54 +228,38 @@ def _load_input_tally(args: argparse.Namespace) -> tuple[TallyTable, Path, str, 
     return tally, path, raw.sha256.hexdigest(), seed if valid_seed else None
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.header and args.format != "csv":
-        print("error: --header applies to csv input only", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        tally, path, sha256, seed = _load_input_tally(args)
-        bell = None
-        if args.bell1964 is not None:
-            n_ac, big_ac, n_ba, big_ba, n_bc, big_bc = args.bell1964
-            bell = bell1964_statistic(
-                ThreeSettingTally(
-                    n_ac=n_ac, n_ba=n_ba, n_bc=n_bc,
-                    N_ac=big_ac, N_ba=big_ba, N_bc=big_bc,
-                )
-            )
-        report = build_analysis_report(
-            tally,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            bell1964=bell,
-            input_path=str(path),
-            input_sha256=sha256,
-            seed=seed,
-        )
-    except (BellkitError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    print(json.dumps(report.to_dict(), indent=2))
-    return EXIT_VIOLATION if report.chsh.violated else EXIT_OK
+def cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
+    tally, path, sha256, seed = _load_input_tally(args)
+    report = build_analysis_report(tally, epsilon=args.epsilon, delta=args.delta,
+                                   bell1964=args.bell1964, input_path=str(path),
+                                   input_sha256=sha256, seed=seed)
+    return report.to_dict(), EXIT_VIOLATION if report.chsh.violated else EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        report = verify_necessary_conditions(args.n_per_setting, cap=args.cap)
-    except (EnumerationCapError, BellkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(report.to_json())
-    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+def cmd_oracle(args: argparse.Namespace) -> tuple[dict, int]:
+    report = verify_necessary_conditions(args.n_per_setting, cap=args.cap)
+    return report.to_dict(), EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: print its JSON payload, or its error, and return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "analyze" and args.header and args.format != "csv":
+            parser.error("--header applies to csv input only")
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        payload, code = args.func(args)
+    except (BellkitError, OSError, UnicodeDecodeError) as exc:
+        # the one error-to-exit-code table: usage errors exit 2, input errors 1
+        code = EXIT_USAGE if isinstance(exc, (ConfigError, EnumerationCapError)) else EXIT_INPUT
+        failed = "write failed: " if args.command == "simulate" and isinstance(exc, OSError) else ""
+        print(f"error: {failed}{exc}", file=sys.stderr)
+        return code
+    print(json.dumps(payload, indent=2))
+    return code
 
 
 if __name__ == "__main__":

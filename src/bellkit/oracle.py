@@ -18,7 +18,6 @@ counterexample.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -65,9 +64,6 @@ class CounterexampleReport:
             "elapsed_seconds": self.elapsed_seconds,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def enumerate_uniform_tallies(n_per_setting: int, cap: int = DEFAULT_CAP) -> Iterator[TallyTable]:
     """All tallies with a=b=c=d=n_per_setting, in lexicographic n-order.
@@ -79,7 +75,7 @@ def enumerate_uniform_tallies(n_per_setting: int, cap: int = DEFAULT_CAP) -> Ite
         raise DomainError(f"n_per_setting must be >= 1, got {q}")
     size = (q + 1) ** 4
     if size > cap:
-        raise EnumerationCapError(f"enumeration of {size} tallies exceeds cap {cap}")
+        raise EnumerationCapError(f"enumeration of ({q} + 1)^4 tallies exceeds cap {cap}")
     for n00, n01, n10, n11 in itertools.product(range(q + 1), repeat=4):
         yield TallyTable(a=q, b=q, c=q, d=q, n00=n00, n01=n01, n10=n10, n11=n11)
 

@@ -120,7 +120,7 @@ def shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
     base, extra = divmod(total, shards)
     ranges = []
     start = 0
-    for i in range(shards):
+    for i in range(min(shards, total)):
         size = base + (1 if i < extra else 0)
         if size:
             ranges.append((start, start + size))

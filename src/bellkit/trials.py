@@ -14,9 +14,11 @@ nothing downstream checks them again.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Literal
+from typing import IO, Any, Callable, Iterable, Iterator, Literal
 
 from .errors import DomainError, EmptyCellError, InvariantError, ParseError
 
@@ -176,7 +178,7 @@ def parse_trial_line(
     if format == "jsonl":
         try:
             obj = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"invalid JSON: {exc}", line_number) from exc
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", line_number)
@@ -290,16 +292,43 @@ def merge_tallies(t1: TallyTable, t2: TallyTable) -> TallyTable:
     return TallyTable(**{label: getattr(t1, label) + getattr(t2, label) for label in labels})
 
 
+def write_atomic(path: str | Path, fill: Callable[[IO[str]], Any]) -> Any:
+    """Return fill(handle) once it has written the text file at path, all or nothing.
+
+    fill writes a temporary file beside path's target, which takes the
+    target's permissions and then replaces it through os.replace; on any
+    error the temporary file is removed and path is left as it was. A path
+    that exists and is not a regular file (a pipe, /dev/null) is written in
+    place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            return fill(handle)
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            result = fill(handle)
+        if target.exists():
+            shutil.copymode(target, temp)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return result
+
+
 def write_tally(path: str | Path, t: TallyTable, seed: int | None = None) -> None:
     """Write a tally as a JSON object; byte-identical for identical inputs.
 
     The object holds the eight count fields; when a simulation seed is
-    given it is recorded under the extra key "seed" for provenance.
+    given it is recorded under the extra key "seed" for provenance. The
+    file is written atomically, through write_atomic.
     """
     payload: dict = t.to_dict()
     if seed is not None:
         payload["seed"] = seed
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_atomic(path, lambda handle: handle.write(json.dumps(payload, indent=2) + "\n"))
 
 
 def load_tally(path: str | Path | IO[str]) -> tuple[TallyTable, dict]:
@@ -315,7 +344,7 @@ def load_tally(path: str | Path | IO[str]) -> tuple[TallyTable, dict]:
         text = path.read()
     try:
         data = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid tally JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("tally file must hold a single JSON object")

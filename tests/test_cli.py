@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import bellkit
+import bellkit.cli
 from bellkit import (
     TallyTable,
     TrialRecord,
@@ -22,6 +23,7 @@ from bellkit import (
     write_tally,
 )
 from bellkit.cli import main
+from bellkit.trials import trial_chunk_writer
 
 QUANTUM_MAX = ["--angles", "0,1.5707963267948966,0.7853981633974483,-0.7853981633974483"]
 
@@ -30,6 +32,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_module(argv, env=None, timeout=60):
+    """Run `python -m bellkit.cli argv` in a child process with this checkout's bellkit."""
+    src = str(Path(bellkit.__file__).resolve().parents[1])
+    child_env = {**os.environ, **(env or {}),
+                 "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "bellkit.cli", *argv],
+                          env=child_env, capture_output=True, text=True, timeout=timeout)
 
 
 class TestSimulate:
@@ -93,6 +104,57 @@ class TestSimulate:
         )
         assert code == 1
         assert "write failed" in err
+
+    @pytest.mark.parametrize("before", [None, b"old trials\n"], ids=["absent", "present"])
+    def test_failed_emit_leaves_the_target_as_it_was(self, capsys, tmp_path, monkeypatch, before):
+        target = tmp_path / "trials.jsonl"
+        if before is not None:
+            target.write_bytes(before)
+        chunks = []
+
+        def failing_writer(handle, format):
+            write = trial_chunk_writer(handle, format)
+
+            def write_one_chunk(*arrays):
+                if chunks:
+                    raise OSError(28, "No space left on device")
+                chunks.append(len(arrays[0]))
+                write(*arrays)
+                handle.flush()
+
+            return write_one_chunk
+
+        monkeypatch.setattr(bellkit.cli, "trial_chunk_writer", failing_writer)
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--model", "lhv", *QUANTUM_MAX, "--trials", "70000",
+            "--seed", "1", "--out", str(tmp_path / "t.json"), "--emit-trials", str(target),
+        )
+        assert (code, stdout) == (1, "")
+        assert "write failed" in err and "No space" in err
+        assert chunks == [2**16]
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else [target.name])
+        assert before is None or target.read_bytes() == before
+
+    @pytest.mark.parametrize("threads", ["", "3"])
+    def test_bellkit_threads_is_the_shards_default(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("BELLKIT_THREADS", threads)
+        parsed = bellkit.cli.build_parser().parse_args(
+            ["simulate", "--model", "lhv", "--trials", "8", "--out", str(tmp_path / "t.json")])
+        assert parsed.shards == int(threads or "1")
+
+    def test_bad_bellkit_threads_names_both_sources(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BELLKIT_THREADS", "many")
+        code, _, err = run_cli(
+            capsys, "simulate", "--model", "lhv", "--trials", "8", "--out", str(tmp_path / "t.json"))
+        assert code == 2
+        assert "--shards" in err and "BELLKIT_THREADS" in err
+
+    def test_more_shards_than_trials_is_quick(self, tmp_path):
+        # one partition per shard would take hours to list
+        proc = run_module(["simulate", "--model", "lhv", *QUANTUM_MAX, "--trials", "8",
+                           "--shards", str(10**12), "--out", str(tmp_path / "t.json")], timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert load_tally(tmp_path / "t.json")[0].total_trials == 8
 
     def test_round_robin_settings(self, capsys, tmp_path):
         out = tmp_path / "t.json"
@@ -212,6 +274,33 @@ class TestAnalyze:
         assert code in (0, 3)
         assert json.loads(stdout)["tally"] == load_tally(tally_path)[0].to_dict()
 
+    def test_header_without_csv_exits_2(self, capsys, tmp_path):
+        path = self.write_tally_file(tmp_path, a=4, b=4, c=4, d=4)
+        code, stdout, err = run_cli(capsys, "analyze", "--tally", str(path), "--header")
+        assert (code, stdout) == (2, "")
+        assert "--header applies to csv input only" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--delta", "2"], ["--delta", "0e999999999"], ["--delta", "5e-324"],
+        ["--epsilon", "5e-324"], ["--epsilon", "1/3"], ["--epsilon", "1.7976931348623157e308"],
+    ])
+    def test_epsilon_and_delta_at_their_bounds(self, capsys, tmp_path, argv):
+        path = self.write_tally_file(
+            tmp_path, a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0)
+        code, stdout, _ = run_cli(capsys, "analyze", "--tally", str(path), *argv)
+        assert code == 3
+
+        def not_finite(name):
+            raise AssertionError(f"{name} in the report")
+
+        report = json.loads(stdout, parse_constant=not_finite)
+        flag, text = argv
+        if flag == "--delta":
+            assert report["bounds"]["delta_exact"] == str(Fraction(0 if text.startswith("0e") else text))
+        else:
+            assert report["bounds"]["min_trials_epsilon"] == float(Fraction(text))
+        assert len(str(report["bounds"]["min_trials"])) < 330
+
     def test_bell1964_section(self, capsys, tmp_path):
         path = self.write_tally_file(
             tmp_path, a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2)
@@ -277,6 +366,7 @@ INPUTS = {
     "huge_seed": b'{"model":"lhv","trials":8,"seed":%s}' % HUGE.encode(),
     "flip_string": b'{"model":"lhv","trials":8,"flip_station2":"false"}',
     "angle_bool": b'{"model":"lhv","trials":8,"theta_a0":true}',
+    "deep": b"[" * 100_000,  # nested past the JSON decoder's recursion limit
 }
 SIMULATE = ["simulate", "--out", "{out}", "--config"]
 
@@ -296,9 +386,26 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (SIMULATE + ["{bad}"], {}, 2),
     (SIMULATE + ["{flip_string}"], {}, 2),
     (SIMULATE + ["{angle_bool}"], {}, 2),
+    (["analyze", "--tally", "{tally}", "--bell1964", "5,3,1,2,1,2"], {}, 2),
+    (["analyze", "--tally", "{tally}", "--bell1964", "1,0,1,2,1,2"], {}, 2),
+    (["analyze", "--tally", "{tally}", "--bell1964=-1,3,1,2,1,2"], {}, 2),
+    (["analyze", "--tally", "{tally}", "--bell1964", "1,99999999999999999999999,1,2,1,2"], {}, 2),
+    (["analyze", "--tally", "{tally}", "--delta", "1e400"], {}, 2),
+    (["analyze", "--tally", "{tally}", "--epsilon", "1e400"], {}, 2),
+    (["analyze", "--tally", "{tally}", "--epsilon", "1e-5000"], {}, 2),
+    (["analyze", "--tally", "{tally}", "--delta", "1e-5000"], {}, 2),
+    (["analyze", "--tally", "{tally}", "--epsilon", "1e99999999"], {}, 2),
+    (["analyze", "--tally", "{deep}"], {}, 1),
+    (["analyze", "--trials", "{deep}"], {}, 1),
+    (SIMULATE + ["{deep}"], {}, 2),
+    (["oracle", "--n-per-setting", "9" * 1200], {}, 2),
 ], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
         "threads-not-integer", "threads-zero", "trials-huge-int", "tally-huge-count",
-        "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool"])
+        "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool",
+        "bell1964-n-above-N", "bell1964-empty-pair", "bell1964-negative", "bell1964-above-64-bit",
+        "delta-overflows-float", "epsilon-overflows-float", "epsilon-underflows-float",
+        "delta-underflows-float", "epsilon-huge-exponent", "tally-deep-json", "trials-deep-json",
+        "config-deep-json", "oracle-huge-k"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
     tally = tmp_path / "tally.json"
     write_tally(tally, TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2))
@@ -306,13 +413,7 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
     for name, data in INPUTS.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_bytes(data)
-    src = str(Path(bellkit.__file__).resolve().parents[1])
-    child_env = {**os.environ, **env,
-                 "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "bellkit.cli", *(arg.format(**paths) for arg in argv)],
-        env=child_env, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_module([arg.format(**paths) for arg in argv], env)
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr

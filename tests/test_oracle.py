@@ -53,7 +53,7 @@ class TestVerification:
         assert report.elapsed_seconds >= 0
 
     def test_json_shape(self):
-        payload = json.loads(verify_necessary_conditions(1).to_json())
+        payload = json.loads(json.dumps(verify_necessary_conditions(1).to_dict()))
         assert payload["checked"] == 16
         assert payload["counterexamples"] == []
         assert set(payload) == {

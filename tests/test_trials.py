@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import stat
+import threading
 from unittest import mock
 
 import numpy as np
@@ -25,7 +28,7 @@ from bellkit import (
     write_tally,
 )
 from bellkit import trials
-from bellkit.trials import COUNT_MAX, trial_chunk_writer
+from bellkit.trials import COUNT_MAX, trial_chunk_writer, write_atomic
 
 trial_records = st.builds(
     TrialRecord,
@@ -302,6 +305,54 @@ class TestTallyFile:
         loaded, extras = load_tally(path)
         assert loaded == t
         assert extras == {"seed": 42}
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+    @pytest.mark.parametrize("before", [None, "old\n"], ids=["absent", "present"])
+    def test_failed_write_leaves_the_target_as_it_was(self, tmp_path, before):
+        path = tmp_path / "t.json"
+        if before is not None:
+            path.write_text(before)
+
+        def fill(handle):
+            handle.write("partial")
+            handle.flush()
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space"):
+            write_atomic(path, fill)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["t.json"])
+        assert before is None or path.read_text() == before
+
+    def test_a_replaced_file_keeps_its_permissions(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text("old\n")
+        path.chmod(0o600)
+        write_tally(path, TallyTable(a=1, b=1, c=1, d=1))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_write_through_a_symlink_replaces_its_target(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        t = TallyTable(a=1, b=1, c=1, d=1, n00=1)
+        write_tally(link, t)
+        assert link.is_symlink()
+        assert load_tally(target)[0] == t
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        t = TallyTable(a=2, b=2, c=2, d=2, n00=1)
+        write_tally(fifo, t)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert json.loads(received[0]) == t.to_dict()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "t.json"
