@@ -89,10 +89,6 @@ class NoSignallingReport:
         eps = as_exact(epsilon)
         return tuple(d for d in self.deltas if d.strength_exact >= eps)
 
-    def passes(self, epsilon) -> bool:
-        """True when every pair satisfies the strict criterion at epsilon."""
-        return not self.pairs_failing(epsilon)
-
 
 def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
     """Marginal probability differences for all ordered cell pairs.
@@ -132,19 +128,13 @@ def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
     )
 
 
-def violation_possible(n_min: int, sigma: int, n_total: int, delta_small=0) -> bool:
-    """Strict necessary condition for a violation of count margin delta_small.
-
-    True iff 2*n_min + 3*sigma > N/2 + delta_small, evaluated exactly.
-    """
+def violation_possible(n_min: int, sigma: int, n_total: int) -> bool:
+    """Strict necessary condition for any violation: 2*n_min + 3*sigma > N/2, in integers."""
     if n_total <= 0:
         raise DomainError(f"trial count must be positive, got {n_total}")
     if n_min < 0 or sigma < 0:
         raise DomainError("n_min and sigma must be nonnegative")
-    margin = as_exact(delta_small)
-    if margin < 0:
-        raise DomainError(f"delta_small must be nonnegative, got {delta_small!r}")
-    return Fraction(2 * n_min + 3 * sigma) > Fraction(n_total, 2) + margin
+    return 2 * (2 * n_min + 3 * sigma) > n_total
 
 
 def required_skew(n_total: int, delta) -> Fraction:
@@ -189,9 +179,9 @@ class BoundsReport:
     excess over 2 unless a target was requested); delta_small = N*delta/8
     converts it to count units, and required_skew = delta_small/3 exactly.
     violation_possible asks whether any violation is count-compatible
-    (threshold N/2, no margin). min_trials is the smallest N compatible
-    with min_trials_epsilon, which is the requested tolerance when given,
-    else the epsilon floor.
+    (threshold N/2). min_trials is the smallest N compatible with
+    min_trials_epsilon, which is the requested tolerance when given, else
+    the epsilon floor.
     """
 
     delta: Fraction

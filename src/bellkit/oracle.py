@@ -10,6 +10,8 @@ inequality holds with zero counterexamples:
   sprime_bounds:            S'_min <= S' <= S'_max for every tally
   uniformity_no_violation:  sigma = 0 implies S <= 2
 
+The two thresholds are the required_skew and epsilon_floor of the same
+bounds_report that `analyze` prints, so the oracle checks what a user reads.
 Exact arithmetic matters: several conditions sit on strict-inequality
 boundaries (S exactly 2) where floating point could manufacture or hide a
 counterexample.
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import ClassVar, Iterator
 
-from .bounds import epsilon_floor, nosignalling_deltas, required_skew
+from .bounds import bounds_report, nosignalling_deltas
 from .errors import DomainError, EnumerationCapError
 from .stats import chsh_statistic
 from .trials import TallyTable
@@ -46,7 +48,7 @@ class CounterexampleReport:
     counterexamples: tuple[tuple[TallyTable, str], ...]
     n_per_setting: int
     elapsed_seconds: float
-    conditions: tuple[str, ...] = field(default=CONDITIONS)
+    conditions: ClassVar[tuple[str, ...]] = CONDITIONS
 
     @property
     def ok(self) -> bool:
@@ -84,8 +86,8 @@ def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> C
     """Check every condition on every enumerated tally; report failures verbatim.
 
     Each tally is pushed through the real statistics pipeline (test value,
-    skew, S' bounds, marginal deltas) rather than any algebraic shortcut,
-    so this exercises the same code paths the analyzer uses.
+    skew, S' bounds, marginal deltas, bounds_report) rather than any
+    algebraic shortcut, so this exercises the same code paths the analyzer uses.
     """
     started = time.perf_counter()
     checked = 0
@@ -98,13 +100,12 @@ def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> C
         if summary.sigma == 0 and summary.s_exact > 2:
             failures.append((tally, "uniformity_no_violation"))
         if summary.s_exact > 2:
-            excess = summary.s_exact - 2
+            bounds = bounds_report(tally)
             if summary.sigma < 1:
                 failures.append((tally, "sigma_ge_1"))
-            if not summary.sigma > required_skew(tally.total_trials, excess):
+            if not summary.sigma > bounds.required_skew:
                 failures.append((tally, "sigma_gt_NDelta_24"))
-            achieved = nosignalling_deltas(tally).epsilon_achieved_exact
-            if not achieved > epsilon_floor(excess):
+            if not nosignalling_deltas(tally).epsilon_achieved_exact > bounds.epsilon_floor:
                 failures.append((tally, "eps_gt_Delta_12"))
     return CounterexampleReport(
         checked=checked,

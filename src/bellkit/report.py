@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import __version__
@@ -24,38 +24,13 @@ class AnalysisReport:
     metadata: dict
 
     def to_dict(self) -> dict:
-        chsh = self.chsh
+        """The JSON report; chsh, each delta and bell1964 are their records' fields."""
         ns = self.nosignalling
         b = self.bounds
-        chsh_section = {
-            "e00": chsh.e00,
-            "e01": chsh.e01,
-            "e10": chsh.e10,
-            "e11": chsh.e11,
-            "s": chsh.s,
-            "s_exact": str(chsh.s_exact),
-            "sigma": chsh.sigma,
-            "n_max": chsh.n_max,
-            "n_min": chsh.n_min,
-            "s_prime": chsh.s_prime,
-            "s_prime_max": chsh.s_prime_max,
-            "s_prime_min": chsh.s_prime_min,
-            "violated": chsh.violated,
-            "violation_magnitude": chsh.violation_magnitude,
-        }
         ns_section = {
             "epsilon_achieved": ns.epsilon_achieved,
             "epsilon_achieved_exact": str(ns.epsilon_achieved_exact),
-            "deltas": [
-                {
-                    "alpha": d.alpha,
-                    "beta": d.beta,
-                    "value": d.value,
-                    "value_exact": str(d.value_exact),
-                    "physical": d.physical,
-                }
-                for d in ns.deltas
-            ],
+            "deltas": [_record_dict(d, omit="strength_exact") for d in ns.deltas],
         }
         if self.epsilon_requested is not None:
             failing = ns.pairs_failing(self.epsilon_requested)
@@ -78,23 +53,20 @@ class AnalysisReport:
                 float(b.min_trials_epsilon) if b.min_trials_epsilon is not None else None
             ),
         }
-        bell_section = None
-        if self.bell1964 is not None:
-            bell_section = {
-                "corr_form": self.bell1964.corr_form,
-                "fraction_form": self.bell1964.fraction_form,
-                "corr_form_exact": str(self.bell1964.corr_form_exact),
-                "fraction_form_exact": str(self.bell1964.fraction_form_exact),
-                "violated": self.bell1964.violated,
-            }
         return {
             "tally": self.tally.to_dict(),
-            "chsh": chsh_section,
+            "chsh": _record_dict(self.chsh),
             "nosignalling": ns_section,
             "bounds": bounds_section,
-            "bell1964": bell_section,
+            "bell1964": _record_dict(self.bell1964) if self.bell1964 is not None else None,
             "metadata": self.metadata,
         }
+
+
+def _record_dict(record, omit: str = "") -> dict:
+    """A record's fields except omit, in declaration order, each Fraction as its exact string."""
+    values = {f.name: getattr(record, f.name) for f in fields(record) if f.name != omit}
+    return {name: str(v) if isinstance(v, Fraction) else v for name, v in values.items()}
 
 
 def build_analysis_report(

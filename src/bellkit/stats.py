@@ -43,7 +43,8 @@ class ChshSummary:
 
 
 def _correlation(corr_count: int, trial_count: int) -> float:
-    return float(Fraction(2 * corr_count - trial_count, trial_count))
+    # int / int is correctly rounded, so this is float(Fraction(...)) bit for bit
+    return (2 * corr_count - trial_count) / trial_count
 
 
 def correlation_coefficient(corr_count: int, trial_count: int) -> float:
@@ -126,7 +127,7 @@ def chsh_statistic(t: TallyTable) -> ChshSummary:
         s_prime_max=s_prime_max,
         s_prime_min=s_prime_min,
         violated=violated,
-        violation_magnitude=float(max(Fraction(0), s_exact - 2)),
+        violation_magnitude=float(s_exact - 2) if violated else 0.0,
     )
 
 
@@ -142,7 +143,7 @@ def chsh_from_sprime(s_prime: int, n_total: int) -> float:
         raise DomainError(
             f"uniform-settings form needs N divisible by 4, got {n_total}"
         )
-    return float(Fraction(2 * (4 * s_prime - n_total), n_total))
+    return 2 * (4 * s_prime - n_total) / n_total
 
 
 @dataclass(frozen=True)

@@ -125,11 +125,6 @@ class TallyTable:
     def corr_counts(self) -> tuple[int, int, int, int]:
         return (self.n00, self.n01, self.n10, self.n11)
 
-    @property
-    def anti_corr_counts(self) -> tuple[int, int, int, int]:
-        """Anti-correlated results per setting: count minus correlated."""
-        return tuple(m - n for m, n in zip(self.setting_counts, self.corr_counts))
-
     def to_dict(self) -> dict[str, int]:
         return {label: getattr(self, label) for label in CELL_LABELS + CORR_LABELS}
 
@@ -299,7 +294,7 @@ def write_atomic(path: str | Path, fill: Callable[[IO[str]], Any]) -> Any:
     target's permissions and then replaces it through os.replace; on any
     error the temporary file is removed and path is left as it was. A path
     that exists and is not a regular file (a pipe, /dev/null) is written in
-    place.
+    place. An OSError about the temporary file names path instead.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
@@ -312,8 +307,10 @@ def write_atomic(path: str | Path, fill: Callable[[IO[str]], Any]) -> Any:
         if target.exists():
             shutil.copymode(target, temp)
         os.replace(temp, target)
-    except BaseException:
+    except BaseException as exc:
         temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
     return result
 

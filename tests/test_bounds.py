@@ -59,16 +59,14 @@ class TestAsExact:
 
 class TestViolationPossible:
     def test_examples(self):
-        assert violation_possible(n_min=0, sigma=4, n_total=16, delta_small=0)
-        assert not violation_possible(n_min=2, sigma=0, n_total=16, delta_small=0)
+        assert violation_possible(n_min=0, sigma=4, n_total=16)
+        assert not violation_possible(n_min=2, sigma=0, n_total=16)
 
     def test_strict_boundary(self):
-        # 2*(N/4) + 0 = N/2 fails the strict inequality
-        assert not violation_possible(n_min=4, sigma=0, n_total=16, delta_small=0)
-
-    def test_margin_shifts_threshold(self):
-        assert violation_possible(n_min=0, sigma=4, n_total=16, delta_small=3)
-        assert not violation_possible(n_min=0, sigma=4, n_total=16, delta_small=4)
+        # 2*(N/4) + 0 = N/2 fails the strict inequality; an odd N has no integer boundary
+        assert not violation_possible(n_min=4, sigma=0, n_total=16)
+        assert violation_possible(n_min=4, sigma=0, n_total=15)
+        assert not violation_possible(n_min=4, sigma=0, n_total=17)
 
 
 class TestRequiredSkew:
@@ -169,8 +167,8 @@ class TestNoSignalling:
         report = nosignalling_deltas(t)
         # achieved epsilon is an infimum: not admissible itself
         assert report.pairs_failing(report.epsilon_achieved_exact)
-        assert report.passes(Fraction(76, 1000))
-        assert not report.passes(0.01)
+        assert not report.pairs_failing(Fraction(76, 1000))
+        assert report.pairs_failing(0.01)
 
     def test_orientations_share_strength(self):
         # the criterion divides by min(alpha, beta), so unbalanced cells

@@ -399,17 +399,20 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (["analyze", "--trials", "{deep}"], {}, 1),
     (SIMULATE + ["{deep}"], {}, 2),
     (["oracle", "--n-per-setting", "9" * 1200], {}, 2),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{missing}/out.json"], {}, 1),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
+      "--emit-trials", "{missing}/trials.jsonl"], {}, 1),
 ], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
         "threads-not-integer", "threads-zero", "trials-huge-int", "tally-huge-count",
         "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool",
         "bell1964-n-above-N", "bell1964-empty-pair", "bell1964-negative", "bell1964-above-64-bit",
         "delta-overflows-float", "epsilon-overflows-float", "epsilon-underflows-float",
         "delta-underflows-float", "epsilon-huge-exponent", "tally-deep-json", "trials-deep-json",
-        "config-deep-json", "oracle-huge-k"])
+        "config-deep-json", "oracle-huge-k", "out-missing-dir", "emit-missing-dir"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
     tally = tmp_path / "tally.json"
     write_tally(tally, TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2))
-    paths = {"tally": tally, "out": tmp_path / "out.json"}
+    paths = {"tally": tally, "out": tmp_path / "out.json", "missing": tmp_path / "missing"}
     for name, data in INPUTS.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_bytes(data)
@@ -417,6 +420,10 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr
+    for arg in argv:
+        if arg.startswith("{missing}"):  # a failed write names its target, not a temporary file
+            assert arg.format(**paths) in proc.stderr
+            assert ".tmp" not in proc.stderr
 
 
 class TestOracleCommand:

@@ -8,6 +8,8 @@ neither 2^16 nor 2^18, so the last chunk is always partial.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,3 +116,73 @@ def test_trial_words_match_scalar_reference(seed, slot):
         assert words.tolist() == expected
         assert unit_doubles(words).tolist() == [unit_double(w) for w in expected]
 
+
+
+# Tally files for the analyze golden pins: counts near 10^3 and near 2^63,
+# uniform and non-uniform cells, violated, clean and on the S = 2 boundary,
+# one empty cell (exit 1) and one file with a recorded seed.
+BIG = 2**63
+ANALYZE_TALLIES = {
+    "k_violated": (1000, 1000, 1000, 1000, 854, 854, 854, 146),
+    "k_clean": (1000, 1000, 1000, 1000, 500, 500, 500, 500),
+    "k_boundary": (1000, 1000, 1000, 1000, 1000, 1000, 500, 500),
+    "k_maximal": (1000, 1000, 1000, 1000, 1000, 1000, 1000, 0),
+    "k_anti": (1000, 1000, 1000, 1000, 0, 0, 0, 1000),
+    "k_nonuniform_violated": (997, 1003, 1011, 989, 850, 860, 870, 140),
+    "k_nonuniform_clean": (997, 1003, 1011, 989, 500, 480, 520, 510),
+    "k_nonuniform_small": (1, 1, 1, 2, 1, 1, 1, 1),
+    "k_empty_cell": (1000, 0, 1000, 1000, 854, 0, 854, 146),
+    "k_seeded": (1000, 1000, 1000, 1000, 853, 855, 851, 147),
+    "big_violated": (BIG + 5,) * 4 + ((BIG + 5) * 854 // 1000,) * 3 + ((BIG + 5) * 146 // 1000,),
+    "big_clean": (BIG + 5,) * 4 + ((BIG + 5) // 2,) * 4,
+    "big_nonuniform_violated": (BIG - 1, BIG + 12345, BIG - 98765, BIG + 3,
+                                BIG // 7 * 6, BIG // 8 * 7, BIG // 9 * 8, BIG // 6),
+    "big_nonuniform_clean": (BIG - 1, BIG + 12345, BIG - 98765, BIG + 3,
+                             BIG // 2, BIG // 3, BIG // 2 + 7, BIG // 2 - 7),
+    "big_max_count": (2**64 - 1, BIG, BIG + 1, 2**64 - 2, 2**64 - 1, BIG, BIG - 1, 0),
+    "big_seeded": (BIG,) * 4 + (BIG - 3, BIG - 2, BIG - 1, 1),
+}
+ANALYZE_SEEDS = {"k_seeded": 12345, "big_seeded": SEED_MAX}
+ANALYZE_FLAGS = (["--epsilon", "0.01"], ["--delta", "1/20"], ["--bell1964", "9,10,1,10,1,10"])
+
+# name -> (exit codes, SHA-256 of the stdout of every flag mix in order)
+# for `analyze --tally name` under each subset of ANALYZE_FLAGS
+GOLDEN_ANALYZE = {
+    "big_clean": ((0, 0, 0, 0, 0, 0, 0, 0), "874a8777123ada3c90ea3b19ead797f307a84509608e841deaf5a48f6ee3ae55"),
+    "big_max_count": ((3, 3, 3, 3, 3, 3, 3, 3), "99565d1b9bd8684db46a2169251c1c41fa78f22e6af20bebd2b3c5ac1eb355d7"),
+    "big_nonuniform_clean": ((0, 0, 0, 0, 0, 0, 0, 0), "732100d4031f8a72d892e8ef9dadfa0707c9b230a09b844af0dad48fdaf9732e"),
+    "big_nonuniform_violated": ((3, 3, 3, 3, 3, 3, 3, 3), "9dd96d4ea4219a36fdf05501f4190067e18042984ee643cae4f3c356febd6e29"),
+    "big_seeded": ((3, 3, 3, 3, 3, 3, 3, 3), "f2d65c7d468950b63ac39ebfdc8b0823f8955c070aad4b939b4e4d3c14f1bf01"),
+    "big_violated": ((3, 3, 3, 3, 3, 3, 3, 3), "835fc9689ca3c407e795f889d30ee188db6779b464e6347da81a4643d1188dd8"),
+    "k_anti": ((0, 0, 0, 0, 0, 0, 0, 0), "c79c8209fe95ddc72a4cdd88bc9340658fb10e0ac57f3471fbec21285128c1b8"),
+    "k_boundary": ((0, 0, 0, 0, 0, 0, 0, 0), "2a6a82be5bf587681b207d34127df46e5e229b40e3006265e7baeeba585106b3"),
+    "k_clean": ((0, 0, 0, 0, 0, 0, 0, 0), "d99c788275e6879916c621c6b718655edc03eef5e92045203b7813fcbd1d2d50"),
+    "k_empty_cell": ((1, 1, 1, 1, 1, 1, 1, 1), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "k_maximal": ((3, 3, 3, 3, 3, 3, 3, 3), "bf93b74575dd21be2b7b31616b6227b54b3fefd5939675cf442170cf8568315e"),
+    "k_nonuniform_clean": ((0, 0, 0, 0, 0, 0, 0, 0), "5c2d22b0d98eb83b89120b2d9c5dfe6945af66bb85578c081f1512ebd24e3ddd"),
+    "k_nonuniform_small": ((3, 3, 3, 3, 3, 3, 3, 3), "6563400d709d62169dd1096a47fd36128859bdfcfe3b57ecf12eb5483f7d6e5f"),
+    "k_nonuniform_violated": ((3, 3, 3, 3, 3, 3, 3, 3), "d8a5a41b536719fef34eaa55101c3a83bb93c9ee5de32af81089b673b38a6d8d"),
+    "k_seeded": ((3, 3, 3, 3, 3, 3, 3, 3), "c1115b6860876439e425745da322670ad556b46aca0225954c4674c40b28d8d3"),
+    "k_violated": ((3, 3, 3, 3, 3, 3, 3, 3), "6527d87011793958a14ee1a4f2aaae39ed2493449ca6fbce4e05dc280b4b2a7c"),
+}
+
+
+def analyze_golden(name, capsys) -> tuple[tuple[int, ...], str]:
+    """Run analyze on the tally file `name` under every flag mix; exit codes and stdout digest."""
+    codes = []
+    digest = hashlib.sha256()
+    for mask in range(1 << len(ANALYZE_FLAGS)):
+        flags = [arg for i, pair in enumerate(ANALYZE_FLAGS) if mask >> i & 1 for arg in pair]
+        codes.append(main(["analyze", "--tally", name, *flags]))
+        digest.update(capsys.readouterr().out.encode())
+    return tuple(codes), digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_TALLIES))
+def test_golden_analyze_stdout(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    counts = dict(zip(("a", "b", "c", "d", "n00", "n01", "n10", "n11"), ANALYZE_TALLIES[name]))
+    if name in ANALYZE_SEEDS:
+        counts["seed"] = ANALYZE_SEEDS[name]
+    Path(name).write_text(json.dumps(counts, indent=2) + "\n", encoding="utf-8")
+    assert analyze_golden(name, capsys) == GOLDEN_ANALYZE[name]

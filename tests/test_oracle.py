@@ -1,12 +1,17 @@
 """Exhaustive enumeration and the necessity-condition checks."""
 
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
+import bellkit.oracle
 from bellkit import (
     EnumerationCapError,
     TallyTable,
+    bounds_report,
+    chsh_exact,
     enumerate_uniform_tallies,
     verify_necessary_conditions,
 )
@@ -63,3 +68,16 @@ class TestVerification:
     def test_cap_propagates(self):
         with pytest.raises(EnumerationCapError):
             verify_necessary_conditions(40, cap=10**5)
+
+    @pytest.mark.parametrize("threshold, condition", [
+        ("required_skew", "sigma_gt_NDelta_24"),
+        ("epsilon_floor", "eps_gt_Delta_12"),
+    ])
+    def test_checks_the_printed_thresholds(self, monkeypatch, threshold, condition):
+        # the oracle reads its thresholds from the bounds_report that analyze prints
+        monkeypatch.setattr(bellkit.oracle, "bounds_report", lambda tally: dataclasses.replace(
+            bounds_report(tally), **{threshold: Fraction(10**9)}))
+        violating = [t for t in enumerate_uniform_tallies(2) if chsh_exact(t) > 2]
+        assert violating
+        report = verify_necessary_conditions(2)
+        assert report.counterexamples == tuple((t, condition) for t in violating)

@@ -22,6 +22,7 @@ from bellkit import (
     sprime,
     uniform_prob_s,
 )
+from bellkit.stats import _correlation
 
 # S and the E values live in [-4, 4]; the agreement tolerance between
 # evaluation routes is 4 units in the last place at that magnitude.
@@ -177,6 +178,26 @@ class TestChshFromSprime:
     def test_matches_direct_statistic_exactly(self, t):
         s_prime, _, _ = sprime(t)
         assert chsh_from_sprime(s_prime, t.total_trials) == chsh_statistic(t).s
+
+
+COUNT_MAX = 2**64 - 1
+
+
+class TestFloatsMatchExactRationals:
+    """int / int rounds correctly, so no Fraction is needed to get the float."""
+
+    @given(st.data(), st.integers(1, COUNT_MAX))
+    def test_correlation(self, data, trial_count):
+        corr_count = data.draw(st.integers(0, trial_count))
+        expected = float(Fraction(2 * corr_count - trial_count, trial_count))
+        assert _correlation(corr_count, trial_count) == expected
+
+    @given(st.data(), st.integers(1, COUNT_MAX))
+    def test_chsh_from_sprime(self, data, per_setting):
+        s_prime = data.draw(st.integers(-per_setting, 3 * per_setting))
+        n_total = 4 * per_setting
+        expected = float(Fraction(2 * (4 * s_prime - n_total), n_total))
+        assert chsh_from_sprime(s_prime, n_total) == expected
 
 
 class TestBell1964:

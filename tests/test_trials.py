@@ -241,12 +241,6 @@ class TestTally:
             tally_from_trials(xs), tally_from_trials(ys)
         )
 
-    @given(st.lists(trial_records, max_size=200))
-    def test_anti_corr_complements(self, recs):
-        t = tally_from_trials(recs)
-        for count, anti, corr in zip(t.setting_counts, t.anti_corr_counts, t.corr_counts):
-            assert corr + anti == count
-
     def test_total_trials(self):
         t = TallyTable(a=1, b=2, c=3, d=4)
         assert t.total_trials == 10
