@@ -1,4 +1,9 @@
-"""bellkit: simulator and statistics toolkit for CHSH/Bell-test experiments."""
+"""bellkit: simulator and statistics toolkit for CHSH/Bell-test experiments.
+
+The simulate names load on first use (PEP 562): only simulation needs
+numpy, so importing bellkit, analyzing a tally and running the oracle do
+not import it.
+"""
 
 __version__ = "0.1.0"
 
@@ -45,14 +50,6 @@ from .bounds import (
     nosignalling_deltas,
     required_skew,
     violation_possible,
-)
-from .simulate import (
-    CHSH_MAX_ANGLES,
-    ExperimentRun,
-    SimulationConfig,
-    analytic_correlation,
-    run_experiment,
-    sample_trial,
 )
 from .oracle import (
     CounterexampleReport,
@@ -101,7 +98,6 @@ __all__ = [
     "read_trials",
     "required_skew",
     "run_experiment",
-    "sample_trial",
     "serialize_trial_line",
     "skew",
     "sprime",
@@ -111,3 +107,15 @@ __all__ = [
     "violation_possible",
     "write_tally",
 ]
+
+_SIMULATE_NAMES = frozenset(
+    {"CHSH_MAX_ANGLES", "ExperimentRun", "SimulationConfig", "analytic_correlation", "run_experiment"}
+)
+
+
+def __getattr__(name: str):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

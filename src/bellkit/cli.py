@@ -6,6 +6,9 @@ outcomes: 0 success / no violation, 1 unreadable or invalid input,
 4 oracle counterexample. Argparse types check every flag, so a bad flag
 exits 2 before any work. Each cmd_* returns (payload, exit code) or
 raises; only main prints, and it maps each error to its exit code.
+
+Only simulation needs numpy, so simulate is imported inside the functions
+that simulate: analyze and oracle start without numpy.
 """
 
 from __future__ import annotations
@@ -20,15 +23,15 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import BellkitError, ConfigError, EnumerationCapError
 from .oracle import DEFAULT_CAP, verify_necessary_conditions
 from .report import build_analysis_report
-from .rng import SEED_MAX
-from .simulate import SimulationConfig, run_experiment, tally_for_range
 from .stats import Bell1964Result, bell1964_statistic
 from .trials import (
+    SEED_MAX,
     TallyTable,
     ThreeSettingTally,
     load_tally,
@@ -38,6 +41,9 @@ from .trials import (
     write_atomic,
     write_tally,
 )
+
+if TYPE_CHECKING:
+    from .simulate import SimulationConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -103,6 +109,17 @@ def _positive_int(text: str, note: str = "") -> int:
     return value
 
 
+def _seed_flag(text: str) -> int:
+    """An argparse type: a seed, an integer in 0..SEED_MAX."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= SEED_MAX:
+        raise argparse.ArgumentTypeError(f"must be an integer in 0..2^64 - 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellkit",
@@ -120,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A0,A1,B0,B1",
         help="station-1 and station-2 measurement angles in radians",
     )
-    sim.add_argument("--trials", type=int)
-    sim.add_argument("--seed", type=int)
+    sim.add_argument("--trials", type=_positive_int)
+    sim.add_argument("--seed", type=_seed_flag)
     sim.add_argument("--settings", choices=["uniform", "round-robin"])
     sim.add_argument("--flip-station2", action="store_true", default=None)
     sim.add_argument("--out", type=Path, required=True, help="tally JSON output path")
@@ -155,13 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="Exhaustively verify the necessity conditions")
     orc.add_argument("--n-per-setting", type=_positive_int, required=True)
-    orc.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    orc.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                      help=f"enumeration size guard (default {DEFAULT_CAP})")
     orc.set_defaults(func=cmd_oracle)
     return parser
 
 
 def _assemble_config(args: argparse.Namespace) -> SimulationConfig:
+    from .simulate import SimulationConfig
+
     data: dict = {}
     if args.config is not None:
         try:
@@ -180,6 +199,8 @@ def _assemble_config(args: argparse.Namespace) -> SimulationConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
+    from .simulate import run_experiment, tally_for_range
+
     cfg = _assemble_config(args)
     if args.emit_trials is None:
         tally = run_experiment(cfg, shards=args.shards).tally

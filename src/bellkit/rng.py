@@ -33,8 +33,6 @@ _V_GAMMA = np.uint64(GAMMA)
 _V_C1 = np.uint64(_C1)
 _V_C2 = np.uint64(_C2)
 
-SEED_MAX = MASK64
-
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: avalanche a 64-bit value."""

@@ -29,8 +29,8 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .rng import SEED_MAX, shard_ranges, trial_keys, trial_words, unit_doubles, unit_threshold
-from .trials import TallyTable, TrialRecord, merge_tallies
+from .rng import shard_ranges, trial_keys, trial_words, unit_doubles, unit_threshold
+from .trials import SEED_MAX, TallyTable, merge_tallies
 
 Model = Literal["quantum", "lhv"]
 SettingScheme = Literal["uniform_random", "round_robin"]
@@ -185,14 +185,6 @@ def trial_arrays(
     if not 0 <= start <= stop <= cfg.trials:
         raise ConfigError(f"index range [{start}, {stop}) outside 0..{cfg.trials}")
     return _arrays(cfg, *_chunk(cfg, start, stop, True, _work(stop - start)))
-
-
-def sample_trial(cfg: SimulationConfig, index: int) -> TrialRecord:
-    """The trial at a given position of the seeded stream."""
-    if not 0 <= index < cfg.trials:
-        raise ConfigError(f"trial index {index} outside 0..{cfg.trials - 1}")
-    s1, s2, o1, o2 = trial_arrays(cfg, index, index + 1)
-    return TrialRecord(int(s1[0]), int(s2[0]), int(o1[0]), int(o2[0]))
 
 
 def tally_for_range(

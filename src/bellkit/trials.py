@@ -27,6 +27,8 @@ TrialFormat = Literal["jsonl", "csv"]
 # Counts are 64-bit-capacity nonnegative integers; exceeding this is an
 # error, never wraparound.
 COUNT_MAX = 2**64 - 1
+# Seeds are 64-bit unsigned integers, the key space of the SplitMix64 stream in rng.
+SEED_MAX = 2**64 - 1
 
 CELL_LABELS = ("a", "b", "c", "d")
 CORR_LABELS = ("n00", "n01", "n10", "n11")

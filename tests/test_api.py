@@ -9,6 +9,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import bellkit
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -33,6 +35,17 @@ def resolves(module: str, attr: str) -> bool:
 
 def test_public_names_resolve():
     assert [name for name in bellkit.__all__ if not hasattr(bellkit, name)] == []
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from bellkit import *", namespace)
+    assert [name for name in bellkit.__all__ if name not in namespace] == []
+
+
+def test_lazy_lookup_refuses_private_simulate_names():
+    with pytest.raises(AttributeError):
+        bellkit.trial_arrays  # a simulate name that bellkit does not export
 
 
 def test_tracer_targets_resolve():

@@ -402,14 +402,21 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{missing}/out.json"], {}, 1),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
       "--emit-trials", "{missing}/trials.jsonl"], {}, 1),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}", "--seed", "-1"], {}, "--seed"),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
+      "--seed", str(2**64)], {}, "--seed"),
+    (["simulate", "--model", "lhv", "--trials", "0", "--out", "{out}"], {}, "--trials"),
+    (["oracle", "--n-per-setting", "2", "--cap", "0"], {}, "--cap"),
 ], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
         "threads-not-integer", "threads-zero", "trials-huge-int", "tally-huge-count",
         "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool",
         "bell1964-n-above-N", "bell1964-empty-pair", "bell1964-negative", "bell1964-above-64-bit",
         "delta-overflows-float", "epsilon-overflows-float", "epsilon-underflows-float",
         "delta-underflows-float", "epsilon-huge-exponent", "tally-deep-json", "trials-deep-json",
-        "config-deep-json", "oracle-huge-k", "out-missing-dir", "emit-missing-dir"])
+        "config-deep-json", "oracle-huge-k", "out-missing-dir", "emit-missing-dir",
+        "seed-negative", "seed-above-64-bit", "trials-zero", "cap-zero"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
+    """expected is an exit code, or the flag that argparse must reject (exit 2)."""
     tally = tmp_path / "tally.json"
     write_tally(tally, TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2))
     paths = {"tally": tally, "out": tmp_path / "out.json", "missing": tmp_path / "missing"}
@@ -417,9 +424,13 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_bytes(data)
     proc = run_module([arg.format(**paths) for arg in argv], env)
-    assert proc.returncode == expected, proc.stderr
+    rejected_flag = expected if isinstance(expected, str) else None
+    assert proc.returncode == (2 if rejected_flag else expected), proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr
+    assert proc.stdout == ""
+    if rejected_flag:
+        assert f"argument {rejected_flag}" in proc.stderr
     for arg in argv:
         if arg.startswith("{missing}"):  # a failed write names its target, not a temporary file
             assert arg.format(**paths) in proc.stderr
@@ -469,3 +480,42 @@ class TestTopLevel:
     def test_no_command_exits_2(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
+
+    def test_only_simulation_imports_numpy(self, tmp_path):
+        """analyze, oracle and flag errors run without numpy; a simulate name loads it."""
+        write_tally(tmp_path / "tally.json", TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0))
+        (tmp_path / "bad.json").write_text('{"a": 1}')
+        records = [TrialRecord(k >> 1, k & 1, 1, 1) for k in range(4)]
+        (tmp_path / "trials.jsonl").write_text(
+            "".join(serialize_trial_line(r, "jsonl") + "\n" for r in records))
+        (tmp_path / "trials.csv").write_text(
+            "s1,s2,o1,o2\n" + "".join(serialize_trial_line(r, "csv") + "\n" for r in records))
+        calls = [
+            (["--version"], 0),
+            (["analyze", "--tally", "tally.json"], 3),
+            (["analyze", "--tally", "bad.json"], 1),
+            (["analyze", "--trials", "trials.jsonl"], 0),
+            (["analyze", "--trials", "trials.csv", "--format", "csv", "--header"], 0),
+            (["oracle", "--n-per-setting", "2"], 0),
+            (["simulate", "--model", "lhv", "--trials", "8", "--seed", "-1", "--out", "t.json"], 2),
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import bellkit, bellkit.cli\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        codes.append(bellkit.cli.main(argv))\n"
+            "before = 'numpy' in sys.modules\n"
+            "run = bellkit.run_experiment\n"
+            "print(json.dumps([codes, before, 'numpy' in sys.modules,\n"
+            "                  run is sys.modules['bellkit.simulate'].run_experiment]))\n"
+        )
+        src = str(Path(bellkit.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps([argv for argv, _ in calls])],
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        codes, before, after, same = json.loads(proc.stdout)
+        assert codes == [code for _, code in calls]
+        assert (before, after, same) == (False, True, True)

@@ -23,7 +23,6 @@ from bellkit import (
     chsh_statistic,
     merge_tallies,
     run_experiment,
-    sample_trial,
 )
 from bellkit.cli import main
 from bellkit.rng import unit_doubles, unit_threshold
@@ -251,13 +250,13 @@ class TestDeterminism:
         for model in ("quantum", "lhv"):
             cfg = make_config(model=model, trials=300, seed=23)
             stream = list(zip(*(a.tolist() for a in trial_arrays(cfg, 0, cfg.trials))))
-            scalar = [sample_trial(cfg, i) for i in range(cfg.trials)]
-            assert stream == [(r.s1, r.s2, r.o1, r.o2) for r in scalar]
+            single = [tuple(a.item() for a in trial_arrays(cfg, i, i + 1)) for i in range(cfg.trials)]
+            assert stream == single
 
     def test_index_out_of_range(self):
         cfg = make_config(trials=10)
         with pytest.raises(ConfigError):
-            sample_trial(cfg, 10)
+            trial_arrays(cfg, 10, 11)
 
 
 LHV_ANGLES = (0.0, 1.2, 0.4, -0.9)
