@@ -10,6 +10,7 @@ exactly where the decimal value puts them.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +32,8 @@ def as_exact(value) -> Fraction:
     """Convert a tolerance/magnitude input to an exact rational.
 
     ints, Fractions, and decimal strings convert losslessly; floats go
-    through repr so the decimal the caller typed is honored.
+    through repr so the decimal the caller typed is honored. A string whose
+    exponent exceeds 4300 in magnitude is refused before it is expanded.
     """
     if isinstance(value, Fraction):
         return value
@@ -44,7 +46,12 @@ def as_exact(value) -> Fraction:
             raise DomainError(f"expected a finite number, got {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
+        # Fraction expands an exponent into that many digits; 4300 is Python's
+        # default limit on int-string digits, which Fraction applies to the rest
+        exponent = re.search(r"e([-+]?[\d_]+)\s*\Z", value, re.IGNORECASE)
         try:
+            if exponent and abs(int(exponent[1])) > 4300:
+                raise DomainError(f"exponent out of range: {value!r}")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"not a number: {value!r}") from exc

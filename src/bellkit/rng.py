@@ -7,8 +7,9 @@ t of a SplitMix64 stream seeded with that key. Because nothing is stateful,
 any partition of the index range (shards, chunks, single records) yields
 bit-identical trials, which is what makes sharded runs merge exactly.
 
-trial_keys derives the keys of an index range once; trial_words takes them,
-so a chunk that needs several slots derives each key only once. Offsets are
+trial_keys(seed, start, stop) derives the keys of an index range, and
+trial_words(keys, slot, out) draws one slot from them, so a chunk that
+needs several slots derives each key only once. Offsets are
 reduced mod 2^64 as Python ints, so numpy never does scalar arithmetic that
 could overflow, and the mixing runs in place.
 
@@ -66,25 +67,12 @@ def trial_keys(seed: int, start: int, stop: int, out: np.ndarray | None = None) 
     return _vec_mix64(keys)
 
 
-def trial_words(
-    seed: int,
-    start: int,
-    stop: int,
-    slot: int,
-    keys: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Random 64-bit words `slot` of trials [start, stop) under `seed`; dtype uint64.
+def trial_words(keys: np.ndarray, slot: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Random 64-bit words `slot` of the trials whose keys trial_keys gave; dtype uint64.
 
-    keys, when given, must be trial_keys(seed, start, stop); it is not
-    changed. out is as for trial_keys.
+    keys is not changed. out is as for trial_keys.
     """
-    offset = np.uint64(((slot + 1) * GAMMA) & MASK64)
-    if keys is None:
-        words = trial_keys(seed, start, stop, out=out)
-        words += offset
-    else:
-        words = np.add(keys, offset, out=out)
+    words = np.add(keys, np.uint64(((slot + 1) * GAMMA) & MASK64), out=out)
     return _vec_mix64(words)
 
 

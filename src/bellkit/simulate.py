@@ -14,8 +14,9 @@ each trial's key once and reads the setting pair k = 2*s1 + s2 as the top
 two bits of slot 0. Whether a quantum trial's outcomes agree depends only
 on slot 2 and k: (w2 >> 11) < ceil(p * 2^53), which is exactly
 unit_doubles(w2) < p. Station 1's outcome (slot 1) is drawn only when the
-outcomes themselves are wanted, so a bare tally reads two words per trial,
-and flip_station2 turns agreement into disagreement after the count.
+outcomes themselves are wanted, so a bare tally reads two words per trial.
+The kernel applies flip_station2 itself, so what it returns is whether a
+trial is correlated, and the count and the trials are read from that.
 """
 
 from __future__ import annotations
@@ -42,6 +43,14 @@ _CHUNK = 1 << 16
 CHSH_MAX_ANGLES = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
 
+def _finite(x: int | float) -> bool:
+    """Whether x converts to a finite float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Generator model, measurement angles (radians), trial count, seed."""
@@ -63,8 +72,10 @@ class SimulationConfig:
             raise ConfigError(f"unknown setting scheme {self.setting_scheme!r}")
         for name in ("theta_a0", "theta_a1", "theta_b0", "theta_b1"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
                 raise ConfigError(f"{name} must be a finite angle in radians, got {v!r}")
+        if not all(_finite(a - b) for a in self.station1_angles for b in self.station2_angles):
+            raise ConfigError("every station-1 angle minus station-2 angle must be finite")
         if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if self.setting_scheme == "round_robin" and self.trials % 4 != 0:
@@ -116,18 +127,19 @@ def _work(size: int) -> list[np.ndarray]:
 def _chunk(
     cfg: SimulationConfig, start: int, stop: int, outcomes: bool, work: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(k, equal, o1) for trials [start, stop), computed in the _work buffers.
+    """(k, correlated, o1) for trials [start, stop), computed in the _work buffers.
 
-    k is the setting pair 2*s1 + s2 (int64, a view of a buffer), equal
-    whether the two outcomes agree before flip_station2 (bool), and o1
-    station 1's outcome (int8), or None unless outcomes is true.
+    k is the setting pair 2*s1 + s2 (int64, a view of a buffer), correlated
+    whether the trial is correlated (bool: its outcomes agree, or with
+    flip_station2 differ), and o1 station 1's outcome (int8), or None
+    unless outcomes is true.
     """
     keys, words, k = (buffer[: stop - start] for buffer in work)
     trial_keys(cfg.seed, start, stop, out=keys)
     if cfg.setting_scheme == "round_robin":
         k = np.bitwise_and(np.arange(start, stop, dtype=np.int64), 3, out=k.view(np.int64))
     else:
-        trial_words(cfg.seed, start, stop, 0, keys, out=k)
+        trial_words(keys, 0, out=k)
         k >>= np.uint64(62)
         k = k.view(np.int64)
     o1 = None
@@ -138,14 +150,14 @@ def _chunk(
         )
         if outcomes:
             # unit_doubles(w) < 0.5 exactly when w < 2^63
-            trial_words(cfg.seed, start, stop, 1, keys, out=words)
+            trial_words(keys, 1, out=words)
             o1 = np.where(words < np.uint64(1 << 63), np.int8(1), np.int8(-1))
-        trial_words(cfg.seed, start, stop, 2, keys, out=words)
+        trial_words(keys, 2, out=words)
         words >>= np.uint64(11)
         # the keys are spent, so their buffer takes each trial's threshold
-        equal = words < np.take(thresholds, k, out=keys)
+        correlated = words < np.take(thresholds, k, out=keys)
     else:
-        trial_words(cfg.seed, start, stop, 1, keys, out=words)
+        trial_words(keys, 1, out=words)
         # the keys are spent, so their buffer takes lambda
         lam = unit_doubles(words, out=keys.view(np.float64))
         lam *= 2.0 * math.pi
@@ -160,19 +172,17 @@ def _chunk(
         positive1 = np.cos(phase, out=phase) >= 0.0
         np.take(np.array([b[0], b[1], b[0], b[1]], dtype=np.float64), k, out=phase)
         phase -= lam
-        equal = (np.cos(phase, out=phase) >= 0.0) == positive1
+        correlated = (np.cos(phase, out=phase) >= 0.0) == positive1
         if outcomes:
             o1 = np.where(positive1, np.int8(1), np.int8(-1))
-    return k, equal, o1
-
-
-def _arrays(
-    cfg: SimulationConfig, k: np.ndarray, equal: np.ndarray, o1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(s1, s2, o1, o2) as int8 arrays from _chunk's output."""
     if cfg.flip_station2:
-        equal = ~equal
-    return (k >> 1).astype(np.int8), (k & 1).astype(np.int8), o1, np.where(equal, o1, -o1)
+        np.logical_not(correlated, out=correlated)
+    return k, correlated, o1
+
+
+def _arrays(k: np.ndarray, correlated: np.ndarray, o1: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(s1, s2, o1, o2) as int8 arrays from _chunk's output."""
+    return (k >> 1).astype(np.int8), (k & 1).astype(np.int8), o1, np.where(correlated, o1, -o1)
 
 
 def trial_arrays(
@@ -184,7 +194,7 @@ def trial_arrays(
     """
     if not 0 <= start <= stop <= cfg.trials:
         raise ConfigError(f"index range [{start}, {stop}) outside 0..{cfg.trials}")
-    return _arrays(cfg, *_chunk(cfg, start, stop, True, _work(stop - start)))
+    return _arrays(*_chunk(cfg, start, stop, True, _work(stop - start)))
 
 
 def tally_for_range(
@@ -198,7 +208,7 @@ def tally_for_range(
     pass. Without it no outcome is built, and slot 1 of a quantum trial is
     not drawn.
     """
-    # bin 2k: outcomes differ under setting pair k; bin 2k + 1: they agree
+    # bin 2k + 1 counts the correlated trials of setting pair k, bin 2k the rest
     counts = np.zeros(8, dtype=np.int64)
     # Without a hook one set of buffers serves every chunk. With one, each
     # chunk gets its own, freed before write runs, so they do not add to
@@ -206,19 +216,15 @@ def tally_for_range(
     work = _work(min(_CHUNK, max(stop - start, 0))) if write is None else None
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
-        k, equal, o1 = _chunk(cfg, lo, hi, write is not None, work or _work(hi - lo))
-        trials = _arrays(cfg, k, equal, o1) if write is not None else ()
+        k, correlated, o1 = _chunk(cfg, lo, hi, write is not None, work or _work(hi - lo))
+        trials = _arrays(k, correlated, o1) if write is not None else ()
         k <<= 1
-        k += equal
+        k += correlated
         counts += np.bincount(k, minlength=8)
         del k
         if write is not None:
             write(*trials)
-    a, b, c, d = (counts[0::2] + counts[1::2]).tolist()
-    n00, n01, n10, n11 = counts[1::2].tolist()
-    if cfg.flip_station2:
-        n00, n01, n10, n11 = a - n00, b - n01, c - n10, d - n11
-    return TallyTable(a=a, b=b, c=c, d=d, n00=n00, n01=n01, n10=n10, n11=n11)
+    return TallyTable.from_bins(counts.tolist())
 
 
 class ExperimentRun(NamedTuple):

@@ -137,6 +137,13 @@ class TallyTable:
             raise ParseError(f"tally object missing fields: {', '.join(missing)}")
         return cls(**{k: data[k] for k in CELL_LABELS + CORR_LABELS})
 
+    @classmethod
+    def from_bins(cls, bins: list[int]) -> "TallyTable":
+        """The tally of eight bins: bin 2k + 1 counts the correlated trials of
+        setting pair k = 2*s1 + s2, and bin 2k the rest."""
+        corr = bins[1::2]
+        return cls(*(rest + n for rest, n in zip(bins[0::2], corr)), *corr)
+
 
 @dataclass(frozen=True)
 class ThreeSettingTally:
@@ -262,22 +269,11 @@ def read_trials(
 
 
 def tally_from_trials(trials: Iterable[TrialRecord]) -> TallyTable:
-    """Aggregate trials into the eight counts.
-
-    Each trial increments exactly one setting count and, when its outcome
-    product is +1, the matching correlated count.
-    """
-    counts = [0, 0, 0, 0]
-    corr = [0, 0, 0, 0]
+    """Aggregate trials into the eight counts, through TallyTable.from_bins."""
+    bins = [0] * 8
     for rec in trials:
-        key = 2 * rec.s1 + rec.s2
-        counts[key] += 1
-        if rec.o1 == rec.o2:
-            corr[key] += 1
-    return TallyTable(
-        a=counts[0], b=counts[1], c=counts[2], d=counts[3],
-        n00=corr[0], n01=corr[1], n10=corr[2], n11=corr[3],
-    )
+        bins[4 * rec.s1 + 2 * rec.s2 + (rec.o1 == rec.o2)] += 1
+    return TallyTable.from_bins(bins)
 
 
 def merge_tallies(t1: TallyTable, t2: TallyTable) -> TallyTable:

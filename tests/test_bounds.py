@@ -1,6 +1,9 @@
 """Necessity thresholds and the no-signalling delta family."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -55,6 +58,24 @@ class TestAsExact:
             as_exact("abc")
         with pytest.raises(DomainError):
             as_exact(float("nan"))
+
+
+def test_huge_exponent_refused_at_once():
+    """Fraction would expand 1e-999999999 into a billion digits and not finish."""
+    assert as_exact("1e-4300") == Fraction(1, 10**4300)
+    code = (
+        "from bellkit import DomainError, min_trials\n"
+        "from bellkit.bounds import as_exact\n"
+        "for call in (as_exact, min_trials):\n"
+        "    try:\n"
+        "        call('1e-999999999')\n"
+        "        raise SystemExit(f'{call.__name__} accepted 1e-999999999')\n"
+        "    except DomainError:\n"
+        "        pass\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestViolationPossible:

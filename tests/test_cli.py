@@ -366,6 +366,8 @@ INPUTS = {
     "huge_seed": b'{"model":"lhv","trials":8,"seed":%s}' % HUGE.encode(),
     "flip_string": b'{"model":"lhv","trials":8,"flip_station2":"false"}',
     "angle_bool": b'{"model":"lhv","trials":8,"theta_a0":true}',
+    "angle_huge_int": b'{"model":"lhv","trials":8,"theta_a0":1%s}' % (b"0" * 400),
+    "angle_difference": b'{"model":"quantum","trials":8,"theta_a0":1e308,"theta_b0":-1e308}',
     "deep": b"[" * 100_000,  # nested past the JSON decoder's recursion limit
 }
 SIMULATE = ["simulate", "--out", "{out}", "--config"]
@@ -386,6 +388,12 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (SIMULATE + ["{bad}"], {}, 2),
     (SIMULATE + ["{flip_string}"], {}, 2),
     (SIMULATE + ["{angle_bool}"], {}, 2),
+    (SIMULATE + ["{angle_huge_int}"], {}, 2),
+    (SIMULATE + ["{angle_difference}"], {}, 2),
+    (["simulate", "--model", "quantum", "--angles", "1e308,0,-1e308,0", "--trials", "8",
+      "--out", "{out}"], {}, 2),
+    (["simulate", "--model", "lhv", "--angles", "1e308,0,-1e308,0", "--trials", "8",
+      "--out", "{out}"], {}, 2),
     (["analyze", "--tally", "{tally}", "--bell1964", "5,3,1,2,1,2"], {}, 2),
     (["analyze", "--tally", "{tally}", "--bell1964", "1,0,1,2,1,2"], {}, 2),
     (["analyze", "--tally", "{tally}", "--bell1964=-1,3,1,2,1,2"], {}, 2),
@@ -410,6 +418,8 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
 ], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
         "threads-not-integer", "threads-zero", "trials-huge-int", "tally-huge-count",
         "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool",
+        "config-angle-huge-int", "config-angle-difference", "angles-difference-quantum",
+        "angles-difference-lhv",
         "bell1964-n-above-N", "bell1964-empty-pair", "bell1964-negative", "bell1964-above-64-bit",
         "delta-overflows-float", "epsilon-overflows-float", "epsilon-underflows-float",
         "delta-underflows-float", "epsilon-huge-exponent", "tally-deep-json", "trials-deep-json",

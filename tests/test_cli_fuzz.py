@@ -88,6 +88,10 @@ optional_flags = st.lists(
     | st.tuples(st.just("--bell1964"), fuzzed(bell1964_counts(), number_text)),
     max_size=3,
 ).map(lambda pairs: [f"{flag}={text}" for flag, text in pairs])
+angle_text = st.one_of(
+    st.lists(st.floats(), min_size=4, max_size=4).map(lambda xs: ",".join(map(repr, xs))),
+    st.text(max_size=12), st.just("1e308,0,-1e308,0"),
+)
 count = st.one_of(
     st.integers(-2, 10), st.integers(2**64 - 2, 2**64 + 1), st.floats(), st.booleans(),
     st.none(), st.text(max_size=3),
@@ -178,14 +182,16 @@ def test_analyze_trials(file, flags, fmt, header):
     threads=st.none() | fuzzed(st.integers(1, 8).map(str), flag_text(8)).filter(lambda t: "\0" not in t),
     emit=st.sampled_from([None, "jsonl", "csv"]),
     missing_dir=rarely,
+    angles=st.none() | angle_text,
 )
-def test_simulate(model, trials, seed, round_robin, shards, threads, emit, missing_dir):
+def test_simulate(model, trials, seed, round_robin, shards, threads, emit, missing_dir, angles):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / ("missing" if missing_dir else "") / "t.json"
         argv = ["simulate", f"--model={model}", "--trials", str(trials), "--seed", str(seed),
                 "--out", str(out)]
         argv += ["--settings", "round-robin"] if round_robin else []
         argv += [f"--shards={shards}"] if shards is not None else []
+        argv += [f"--angles={angles}"] if angles is not None else []
         argv += ["--emit-trials", str(Path(tmp) / "trials"), "--emit-format", emit] if emit else []
         run("simulate", argv, threads)
 

@@ -16,7 +16,7 @@ import pytest
 
 from bellkit import CHSH_MAX_ANGLES, SimulationConfig, run_experiment
 from bellkit.cli import main
-from bellkit.rng import trial_words, unit_doubles
+from bellkit.rng import trial_keys, trial_words, unit_doubles
 
 SEED_MAX = 2**64 - 1
 GOLDEN_TRIALS = 300_004
@@ -110,7 +110,7 @@ DIFF_RANGES = [(0, 40), ((1 << 16) - 20, (1 << 16) + 20), ((1 << 18) - 20, (1 <<
 @pytest.mark.parametrize("slot", [0, 1, 2])
 def test_trial_words_match_scalar_reference(seed, slot):
     for start, stop in DIFF_RANGES:
-        words = trial_words(seed, start, stop, slot=slot)
+        words = trial_words(trial_keys(seed, start, stop), slot=slot)
         assert words.dtype == np.uint64
         expected = [trial_word(seed, i, slot) for i in range(start, stop)]
         assert words.tolist() == expected

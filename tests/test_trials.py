@@ -231,6 +231,25 @@ class TestTally:
         assert (t.b, t.n01) == (4, 4)
         assert t.a == t.c == t.d == 0
 
+    @given(st.lists(st.integers(0, 2**62), min_size=8, max_size=8))
+    def test_from_bins_layout(self, bins):
+        assert TallyTable.from_bins(bins).to_dict() == {
+            "a": bins[0] + bins[1], "b": bins[2] + bins[3],
+            "c": bins[4] + bins[5], "d": bins[6] + bins[7],
+            "n00": bins[1], "n01": bins[3], "n10": bins[5], "n11": bins[7],
+        }
+
+    @given(st.lists(st.integers(0, 50), min_size=8, max_size=8), st.randoms())
+    def test_from_bins_matches_trials(self, bins, random):
+        recs = []
+        for k, count in enumerate(bins):
+            s1, s2, correlated = k >> 2, (k >> 1) & 1, k & 1
+            for i in range(count):
+                o1 = 1 if i % 2 else -1
+                recs.append(TrialRecord(s1, s2, o1, o1 if correlated else -o1))
+        random.shuffle(recs)
+        assert tally_from_trials(recs) == TallyTable.from_bins(bins)
+
     @given(st.lists(trial_records, max_size=200))
     def test_matches_brute_force(self, recs):
         assert tally_from_trials(recs) == brute_force_tally(recs)
