@@ -33,9 +33,7 @@ from .stats import (
     ChshSummary,
     bell1964_statistic,
     chsh_exact,
-    chsh_from_sprime,
     chsh_statistic,
-    correlation_coefficient,
     skew,
     sprime,
     uniform_prob_s,
@@ -85,9 +83,7 @@ __all__ = [
     "bounds_report",
     "build_analysis_report",
     "chsh_exact",
-    "chsh_from_sprime",
     "chsh_statistic",
-    "correlation_coefficient",
     "enumerate_uniform_tallies",
     "epsilon_floor",
     "load_tally",

@@ -51,6 +51,15 @@ def _finite(x: int | float) -> bool:
         return False
 
 
+def _shown(v: object) -> str:
+    """A rejected value's type and the first 40 characters of its repr, for an error message."""
+    try:
+        text = repr(v)
+    except ValueError:  # an int past Python's int-to-string digit limit
+        text = "<too many digits>"
+    return f"{type(v).__name__} {text[:40]}{'...' if len(text) > 40 else ''}"
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Generator model, measurement angles (radians), trial count, seed."""
@@ -67,23 +76,23 @@ class SimulationConfig:
 
     def __post_init__(self):
         if self.model not in ("quantum", "lhv"):
-            raise ConfigError(f"model must be 'quantum' or 'lhv', got {self.model!r}")
+            raise ConfigError(f"model must be 'quantum' or 'lhv', got {_shown(self.model)}")
         if self.setting_scheme not in ("uniform_random", "round_robin"):
-            raise ConfigError(f"unknown setting scheme {self.setting_scheme!r}")
+            raise ConfigError(f"unknown setting scheme {_shown(self.setting_scheme)}")
         for name in ("theta_a0", "theta_a1", "theta_b0", "theta_b1"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
-                raise ConfigError(f"{name} must be a finite angle in radians, got {v!r}")
+                raise ConfigError(f"{name} must be a finite angle in radians, got {_shown(v)}")
         if not all(_finite(a - b) for a in self.station1_angles for b in self.station2_angles):
             raise ConfigError("every station-1 angle minus station-2 angle must be finite")
         if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
+            raise ConfigError(f"trials must be a positive integer, got {_shown(self.trials)}")
         if self.setting_scheme == "round_robin" and self.trials % 4 != 0:
             raise ConfigError("round_robin settings require trials divisible by 4")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= SEED_MAX:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {_shown(self.seed)}")
         if not isinstance(self.flip_station2, bool):
-            raise ConfigError(f"flip_station2 must be true or false, got {self.flip_station2!r}")
+            raise ConfigError(f"flip_station2 must be true or false, got {_shown(self.flip_station2)}")
 
     @property
     def station1_angles(self) -> tuple[float, float]:
@@ -103,7 +112,7 @@ class SimulationConfig:
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
+            raise ConfigError(f"unknown config fields: {_shown(sorted(unknown))}")
         missing = [f for f in ("model", "trials") if f not in data]
         if missing:
             raise ConfigError(f"config missing fields: {', '.join(missing)}")

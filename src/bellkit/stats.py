@@ -3,7 +3,8 @@
 Count-derived quantities (sigma, S', bounds) stay in exact integer
 arithmetic; ratio statistics are evaluated as exact rationals and rounded
 once to float, so strict comparisons such as S > 2 are decided on the
-exact value and never disturbed by intermediate rounding.
+exact value and never disturbed by intermediate rounding. S is one exact
+rational: an integer numerator over the product abcd of the cell counts.
 """
 
 from __future__ import annotations
@@ -47,18 +48,6 @@ def _correlation(corr_count: int, trial_count: int) -> float:
     return (2 * corr_count - trial_count) / trial_count
 
 
-def correlation_coefficient(corr_count: int, trial_count: int) -> float:
-    """E = p(corr) - p(anti-corr) = 2*corr_count/trial_count - 1.
-
-    Correctly rounded to float from the exact rational. The two counts are
-    checked as the one-cell tally TallyTable(a=trial_count, n00=corr_count).
-    """
-    TallyTable(a=trial_count, n00=corr_count)
-    if trial_count == 0:
-        raise EmptyCellError("trial_count")
-    return _correlation(corr_count, trial_count)
-
-
 def uniform_prob_s(p: float) -> float:
     """Test value when all four correlation probabilities equal p: 2*(2p - 1).
 
@@ -91,15 +80,13 @@ def sprime(t: TallyTable) -> tuple[int, int, int]:
 
 
 def chsh_exact(t: TallyTable) -> Fraction:
-    """Exact rational test value S = 2*(n00/a + n01/b + n10/c - n11/d - 1)."""
+    """Exact S = 2*(n00/a + n01/b + n10/c - n11/d - 1), one integer numerator over abcd."""
     t.require_populated()
-    return 2 * (
-        Fraction(t.n00, t.a)
-        + Fraction(t.n01, t.b)
-        + Fraction(t.n10, t.c)
-        - Fraction(t.n11, t.d)
-        - 1
-    )
+    a, b, c, d = t.setting_counts
+    n00, n01, n10, n11 = t.corr_counts
+    cd, ab = c * d, a * b
+    numerator = n00 * b * cd + n01 * a * cd + n10 * ab * d - n11 * ab * c - ab * cd
+    return Fraction(2 * numerator, ab * cd)
 
 
 def chsh_statistic(t: TallyTable) -> ChshSummary:
@@ -129,21 +116,6 @@ def chsh_statistic(t: TallyTable) -> ChshSummary:
         violated=violated,
         violation_magnitude=float(s_exact - 2) if violated else 0.0,
     )
-
-
-def chsh_from_sprime(s_prime: int, n_total: int) -> float:
-    """S recovered from S' under exactly uniform settings a=b=c=d=N/4.
-
-    S = (8/N) * (S' - N/4); requires N divisible by 4 because a silent
-    approximation here would invalidate the exact necessity checks.
-    """
-    if n_total <= 0:
-        raise DomainError(f"trial count must be positive, got {n_total}")
-    if n_total % 4 != 0:
-        raise DomainError(
-            f"uniform-settings form needs N divisible by 4, got {n_total}"
-        )
-    return 2 * (4 * s_prime - n_total) / n_total
 
 
 @dataclass(frozen=True)

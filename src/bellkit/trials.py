@@ -238,21 +238,17 @@ def trial_chunk_writer(handle: IO[str], format: TrialFormat = "jsonl"):
 
 
 def read_trials(
-    source: str | Path | IO[str] | Iterable[str],
+    source: Iterable[str],
     format: TrialFormat = "jsonl",
     header: bool = False,
 ) -> Iterator[TrialRecord]:
-    """Stream trial records from a path, file object, or iterable of lines.
+    """Stream trial records from a text file object or an iterable of lines.
 
     Blank lines are skipped. With header=True the first line is skipped
     (headerless CSV is the default contract). Parse failures carry the
     1-based line number. Each of the first _PARSED_MAX distinct lines is
     parsed once; a repeat of one yields the record parsed before.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from read_trials(handle, format=format, header=header)
-        return
     numbered = enumerate(source, start=1)
     if header:
         next(numbered, None)

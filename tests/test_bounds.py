@@ -89,6 +89,10 @@ class TestViolationPossible:
         assert violation_possible(n_min=4, sigma=0, n_total=15)
         assert not violation_possible(n_min=4, sigma=0, n_total=17)
 
+    def test_no_trials_rejected(self):
+        with pytest.raises(DomainError):
+            violation_possible(0, 0, 0)
+
 
 class TestRequiredSkew:
     def test_examples(self):
@@ -99,6 +103,10 @@ class TestRequiredSkew:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             required_skew(8, -0.1)
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(DomainError):
+            required_skew(0, 1)
 
     @given(st.integers(1, 10**6), st.fractions(0, 4))
     def test_three_times_bound_is_count_margin(self, n, delta):

@@ -367,6 +367,8 @@ INPUTS = {
     "flip_string": b'{"model":"lhv","trials":8,"flip_station2":"false"}',
     "angle_bool": b'{"model":"lhv","trials":8,"theta_a0":true}',
     "angle_huge_int": b'{"model":"lhv","trials":8,"theta_a0":1%s}' % (b"0" * 400),
+    "seed_huge_int": b'{"model":"lhv","trials":8,"seed":1%s}' % (b"0" * 400),
+    "scheme_long": b'{"model":"lhv","trials":8,"setting_scheme":"%s"}' % (b"x" * 5000),
     "angle_difference": b'{"model":"quantum","trials":8,"theta_a0":1e308,"theta_b0":-1e308}',
     "deep": b"[" * 100_000,  # nested past the JSON decoder's recursion limit
 }
@@ -389,6 +391,8 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (SIMULATE + ["{flip_string}"], {}, 2),
     (SIMULATE + ["{angle_bool}"], {}, 2),
     (SIMULATE + ["{angle_huge_int}"], {}, 2),
+    (SIMULATE + ["{seed_huge_int}"], {}, 2),
+    (SIMULATE + ["{scheme_long}"], {}, 2),
     (SIMULATE + ["{angle_difference}"], {}, 2),
     (["simulate", "--model", "quantum", "--angles", "1e308,0,-1e308,0", "--trials", "8",
       "--out", "{out}"], {}, 2),
@@ -418,8 +422,8 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
 ], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
         "threads-not-integer", "threads-zero", "trials-huge-int", "tally-huge-count",
         "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool",
-        "config-angle-huge-int", "config-angle-difference", "angles-difference-quantum",
-        "angles-difference-lhv",
+        "config-angle-huge-int", "config-seed-huge-int", "config-scheme-long",
+        "config-angle-difference", "angles-difference-quantum", "angles-difference-lhv",
         "bell1964-n-above-N", "bell1964-empty-pair", "bell1964-negative", "bell1964-above-64-bit",
         "delta-overflows-float", "epsilon-overflows-float", "epsilon-underflows-float",
         "delta-underflows-float", "epsilon-huge-exponent", "tally-deep-json", "trials-deep-json",
@@ -441,6 +445,8 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
     assert proc.stdout == ""
     if rejected_flag:
         assert f"argument {rejected_flag}" in proc.stderr
+    if "--config" in argv:  # a rejected value is echoed as a bounded prefix
+        assert len(proc.stderr.encode()) < 300, proc.stderr
     for arg in argv:
         if arg.startswith("{missing}"):  # a failed write names its target, not a temporary file
             assert arg.format(**paths) in proc.stderr

@@ -13,6 +13,8 @@ from bellkit import (
     bounds_report,
     chsh_exact,
     enumerate_uniform_tallies,
+    nosignalling_deltas,
+    skew,
     verify_necessary_conditions,
 )
 from bellkit.oracle import CONDITIONS
@@ -42,6 +44,9 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapError):
             list(enumerate_uniform_tallies(100, cap=10**4))
 
+    def test_size_equal_to_cap_allowed(self):
+        assert sum(1 for _ in enumerate_uniform_tallies(1, cap=16)) == 16
+
 
 class TestVerification:
     @pytest.mark.parametrize("q,expected", [(1, 16), (4, 625), (6, 2401)])
@@ -69,14 +74,19 @@ class TestVerification:
         with pytest.raises(EnumerationCapError):
             verify_necessary_conditions(40, cap=10**5)
 
-    @pytest.mark.parametrize("threshold, condition", [
-        ("required_skew", "sigma_gt_NDelta_24"),
-        ("epsilon_floor", "eps_gt_Delta_12"),
-    ])
-    def test_checks_the_printed_thresholds(self, monkeypatch, threshold, condition):
+    @pytest.mark.parametrize("threshold, condition, value", [
+        ("required_skew", "sigma_gt_NDelta_24", lambda tally: Fraction(10**9)),
+        ("epsilon_floor", "eps_gt_Delta_12", lambda tally: Fraction(10**9)),
+        # a threshold equal to the tally's own value fails: both conditions are strict
+        ("required_skew", "sigma_gt_NDelta_24", lambda tally: Fraction(skew(tally)[0])),
+        ("epsilon_floor", "eps_gt_Delta_12",
+         lambda tally: nosignalling_deltas(tally).epsilon_achieved_exact),
+    ], ids=["required_skew-sigma_gt_NDelta_24", "epsilon_floor-eps_gt_Delta_12",
+            "required_skew-at-own-sigma", "epsilon_floor-at-own-epsilon"])
+    def test_checks_the_printed_thresholds(self, monkeypatch, threshold, condition, value):
         # the oracle reads its thresholds from the bounds_report that analyze prints
         monkeypatch.setattr(bellkit.oracle, "bounds_report", lambda tally: dataclasses.replace(
-            bounds_report(tally), **{threshold: Fraction(10**9)}))
+            bounds_report(tally), **{threshold: value(tally)}))
         violating = [t for t in enumerate_uniform_tallies(2) if chsh_exact(t) > 2]
         assert violating
         report = verify_necessary_conditions(2)

@@ -65,6 +65,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             make_config(trials=0)
 
+    def test_one_trial(self):
+        assert run_experiment(make_config(trials=1)).tally.total_trials == 1
+
     def test_bad_angle(self):
         with pytest.raises(ConfigError):
             make_config(angles=(0.0, float("inf"), 0.0, 0.0))
@@ -257,6 +260,9 @@ class TestDeterminism:
         cfg = make_config(trials=10)
         with pytest.raises(ConfigError):
             trial_arrays(cfg, 10, 11)
+
+    def test_empty_range(self):
+        assert [a.size for a in trial_arrays(make_config(trials=10), 3, 3)] == [0, 0, 0, 0]
 
 
 LHV_ANGLES = (0.0, 1.2, 0.4, -0.9)

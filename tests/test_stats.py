@@ -15,9 +15,7 @@ from bellkit import (
     ThreeSettingTally,
     bell1964_statistic,
     chsh_exact,
-    chsh_from_sprime,
     chsh_statistic,
-    correlation_coefficient,
     skew,
     sprime,
     uniform_prob_s,
@@ -44,32 +42,6 @@ def uniform_tallies(draw, max_per_setting=200):
     q = draw(st.integers(1, max_per_setting))
     ns = [draw(st.integers(0, q)) for _ in range(4)]
     return TallyTable(a=q, b=q, c=q, d=q, n00=ns[0], n01=ns[1], n10=ns[2], n11=ns[3])
-
-
-class TestCorrelationCoefficient:
-    def test_balance(self):
-        assert correlation_coefficient(50, 100) == 0.0
-
-    def test_perfect(self):
-        assert correlation_coefficient(100, 100) == 1.0
-
-    def test_quarter(self):
-        # oracle: (n - (m - n)) / m counted directly
-        n, m = 25, 100
-        assert correlation_coefficient(n, m) == (n - (m - n)) / m == -0.5
-
-    def test_empty_cell(self):
-        with pytest.raises(EmptyCellError):
-            correlation_coefficient(0, 0)
-
-    def test_invariant(self):
-        with pytest.raises(InvariantError):
-            correlation_coefficient(5, 4)
-
-    @given(m=st.integers(1, 10**6), frac=st.fractions(0, 1))
-    def test_range(self, m, frac):
-        n = round(frac * m)
-        assert -1.0 <= correlation_coefficient(n, m) <= 1.0
 
 
 class TestChshStatistic:
@@ -164,22 +136,6 @@ class TestSkewSprime:
         assert s_min == 3 * n_min - n_max == 2 * n_min - sigma
 
 
-class TestChshFromSprime:
-    def test_examples(self):
-        assert chsh_from_sprime(12, 16) == 4.0
-        assert chsh_from_sprime(8, 16) == 2.0  # S' = N/2 maps to the bound
-        assert chsh_from_sprime(4, 16) == 0.0
-
-    def test_requires_uniform_total(self):
-        with pytest.raises(DomainError):
-            chsh_from_sprime(3, 10)
-
-    @given(uniform_tallies())
-    def test_matches_direct_statistic_exactly(self, t):
-        s_prime, _, _ = sprime(t)
-        assert chsh_from_sprime(s_prime, t.total_trials) == chsh_statistic(t).s
-
-
 COUNT_MAX = 2**64 - 1
 
 
@@ -191,13 +147,6 @@ class TestFloatsMatchExactRationals:
         corr_count = data.draw(st.integers(0, trial_count))
         expected = float(Fraction(2 * corr_count - trial_count, trial_count))
         assert _correlation(corr_count, trial_count) == expected
-
-    @given(st.data(), st.integers(1, COUNT_MAX))
-    def test_chsh_from_sprime(self, data, per_setting):
-        s_prime = data.draw(st.integers(-per_setting, 3 * per_setting))
-        n_total = 4 * per_setting
-        expected = float(Fraction(2 * (4 * s_prime - n_total), n_total))
-        assert chsh_from_sprime(s_prime, n_total) == expected
 
 
 class TestBell1964:
@@ -248,3 +197,11 @@ class TestExactValue:
         q = t.a
         s_prime, _, _ = sprime(t)
         assert chsh_exact(t) == Fraction(2 * (s_prime - q), q)
+
+    @given(st.data(), st.tuples(*[st.integers(1, COUNT_MAX)] * 4))
+    def test_one_numerator_matches_four_ratios(self, data, cells):
+        a, b, c, d = cells
+        n00, n01, n10, n11 = (data.draw(st.integers(0, m)) for m in cells)
+        t = TallyTable(a=a, b=b, c=c, d=d, n00=n00, n01=n01, n10=n10, n11=n11)
+        reference = 2 * (Fraction(n00, a) + Fraction(n01, b) + Fraction(n10, c) - Fraction(n11, d) - 1)
+        assert chsh_exact(t) == reference

@@ -112,13 +112,14 @@ class TestParsing:
     def test_read_trials_line_numbers(self, tmp_path):
         path = tmp_path / "trials.jsonl"
         path.write_text('{"s1":0,"s2":0,"o1":1,"o2":1}\nbroken\n')
-        with pytest.raises(ParseError, match="line 2"):
-            list(read_trials(path))
+        with path.open(encoding="utf-8") as handle, pytest.raises(ParseError, match="line 2"):
+            list(read_trials(handle))
 
     def test_read_trials_csv_header_flag(self, tmp_path):
         path = tmp_path / "trials.csv"
         path.write_text("s1,s2,o1,o2\n0,0,1,1\n1,1,-1,1\n")
-        recs = list(read_trials(path, format="csv", header=True))
+        with path.open(encoding="utf-8") as handle:
+            recs = list(read_trials(handle, format="csv", header=True))
         assert recs == [TrialRecord(0, 0, 1, 1), TrialRecord(1, 1, -1, 1)]
 
     def test_blank_lines_skipped(self):
