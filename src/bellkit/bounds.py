@@ -9,6 +9,7 @@ exactly where the decimal value puts them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -26,6 +27,9 @@ PHYSICAL_PAIRS = (
     frozenset(("a", "c")),
     frozenset(("b", "d")),
 )
+
+# The six unordered pairs of setting cells, as indices into the count tuples.
+_CELL_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 def as_exact(value) -> Fraction:
@@ -97,18 +101,34 @@ class NoSignallingReport:
         return tuple(d for d in self.deltas if d.strength_exact >= eps)
 
 
+def epsilon_achieved(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> Fraction:
+    """Achieved epsilon: max over cell pairs of |alpha*n_beta - beta*n_alpha| / ((alpha+beta)*min).
+
+    Every setting count must be positive. The strength is the same for
+    both orientations of a pair, so the six unordered pairs suffice; they
+    are compared by integer cross-multiplication and one Fraction is built
+    for the largest.
+    """
+    best_num, best_den = 0, 1
+    for i, j in _CELL_PAIRS:
+        ca, cb, na, nb = settings[i], settings[j], corr[i], corr[j]
+        num = abs(ca * nb - cb * na)
+        den = (ca + cb) * min(ca, cb)
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)
+
+
 def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
     """Marginal probability differences for all ordered cell pairs.
 
-    Requires every setting cell populated. The achieved epsilon is
-    max over pairs of |alpha*n_beta - beta*n_alpha| / ((alpha+beta)*min),
-    computed exactly.
+    Requires every setting cell populated. The achieved epsilon is the
+    largest pair strength, from epsilon_achieved.
     """
     t.require_populated()
     counts = dict(zip(CELL_LABELS, t.setting_counts))
     corr = dict(zip(CELL_LABELS, t.corr_counts))
     deltas = []
-    achieved = Fraction(0)
     for alpha in CELL_LABELS:
         for beta in CELL_LABELS:
             if alpha == beta:
@@ -116,18 +136,17 @@ def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
             ca, cb = counts[alpha], counts[beta]
             cross = ca * corr[beta] - cb * corr[alpha]
             value = Fraction(cross, ca * (ca + cb))
-            strength = Fraction(abs(cross), (ca + cb) * min(ca, cb))
-            achieved = max(achieved, strength)
             deltas.append(
                 MarginalDelta(
                     alpha=alpha,
                     beta=beta,
                     value=float(value),
                     value_exact=value,
-                    strength_exact=strength,
+                    strength_exact=Fraction(abs(cross), (ca + cb) * min(ca, cb)),
                     physical=frozenset((alpha, beta)) in PHYSICAL_PAIRS,
                 )
             )
+    achieved = epsilon_achieved(t.setting_counts, t.corr_counts)
     return NoSignallingReport(
         deltas=tuple(deltas),
         epsilon_achieved=float(achieved),

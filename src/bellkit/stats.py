@@ -5,6 +5,9 @@ arithmetic; ratio statistics are evaluated as exact rationals and rounded
 once to float, so strict comparisons such as S > 2 are decided on the
 exact value and never disturbed by intermediate rounding. S is one exact
 rational: an integer numerator over the product abcd of the cell counts.
+skew_counts, sprime_counts and chsh_numerator take the count tuples
+themselves, so the oracle decides S > 2 and the S' bounds without building
+a TallyTable or a Fraction; skew, sprime and chsh_exact apply them to a tally.
 """
 
 from __future__ import annotations
@@ -59,34 +62,51 @@ def uniform_prob_s(p: float) -> float:
     return 2.0 * (2.0 * p - 1.0)
 
 
-def skew(t: TallyTable) -> tuple[int, int, int]:
-    """Range of the correlated counts: (sigma, n_max, n_min)."""
-    n_max = max(t.corr_counts)
-    n_min = min(t.corr_counts)
+def skew_counts(corr: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    """Range of the four correlated counts n00..n11: (sigma, n_max, n_min)."""
+    n_max = max(corr)
+    n_min = min(corr)
     return n_max - n_min, n_max, n_min
 
 
-def sprime(t: TallyTable) -> tuple[int, int, int]:
-    """S' = n00 + n01 + n10 - n11 and its skew bounds.
+def sprime_counts(corr: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    """S' = n00 + n01 + n10 - n11 of the four correlated counts, and its skew bounds.
 
     Returns (s_prime, s_prime_max, s_prime_min) with
     s_prime_max = 2*n_min + 3*sigma = 3*n_max - n_min and
     s_prime_min = 2*n_min - sigma = 3*n_min - n_max.
     """
-    n00, n01, n10, n11 = t.corr_counts
-    s_prime = n00 + n01 + n10 - n11
-    sigma, n_max, n_min = skew(t)
-    return s_prime, 2 * n_min + 3 * sigma, 2 * n_min - sigma
+    n00, n01, n10, n11 = corr
+    sigma, _, n_min = skew_counts(corr)
+    return n00 + n01 + n10 - n11, 2 * n_min + 3 * sigma, 2 * n_min - sigma
+
+
+def chsh_numerator(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> int:
+    """X = n00*bcd + n01*acd + n10*abd - n11*abc - abcd, so S = 2X/(abcd).
+
+    For populated cells, S > 2 exactly when X > abcd.
+    """
+    a, b, c, d = settings
+    n00, n01, n10, n11 = corr
+    cd, ab = c * d, a * b
+    return n00 * b * cd + n01 * a * cd + n10 * ab * d - n11 * ab * c - ab * cd
+
+
+def skew(t: TallyTable) -> tuple[int, int, int]:
+    """Range of the tally's correlated counts: (sigma, n_max, n_min)."""
+    return skew_counts(t.corr_counts)
+
+
+def sprime(t: TallyTable) -> tuple[int, int, int]:
+    """The tally's (s_prime, s_prime_max, s_prime_min); see sprime_counts."""
+    return sprime_counts(t.corr_counts)
 
 
 def chsh_exact(t: TallyTable) -> Fraction:
     """Exact S = 2*(n00/a + n01/b + n10/c - n11/d - 1), one integer numerator over abcd."""
     t.require_populated()
     a, b, c, d = t.setting_counts
-    n00, n01, n10, n11 = t.corr_counts
-    cd, ab = c * d, a * b
-    numerator = n00 * b * cd + n01 * a * cd + n10 * ab * d - n11 * ab * c - ab * cd
-    return Fraction(2 * numerator, ab * cd)
+    return Fraction(2 * chsh_numerator(t.setting_counts, t.corr_counts), a * b * c * d)
 
 
 def chsh_statistic(t: TallyTable) -> ChshSummary:

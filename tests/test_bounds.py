@@ -23,7 +23,7 @@ from bellkit import (
     skew,
     violation_possible,
 )
-from bellkit.bounds import PHYSICAL_PAIRS, as_exact
+from bellkit.bounds import PHYSICAL_PAIRS, as_exact, epsilon_achieved
 
 
 @st.composite
@@ -220,6 +220,12 @@ class TestNoSignalling:
         report = nosignalling_deltas(t)
         assert report.epsilon_achieved_exact == max(d.strength_exact for d in report.deltas)
         assert report.epsilon_achieved_exact >= 0
+
+    @given(populated_tallies(max_count=2**64 - 1))
+    def test_integer_form_is_max_of_twelve_strengths(self, t):
+        strengths = [d.strength_exact for d in nosignalling_deltas(t).deltas]
+        assert len(strengths) == 12
+        assert epsilon_achieved(t.setting_counts, t.corr_counts) == max(strengths)
 
 
 class TestBoundsReport:

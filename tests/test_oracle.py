@@ -1,6 +1,7 @@
 """Exhaustive enumeration and the necessity-condition checks."""
 
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from bellkit import (
     TallyTable,
     bounds_report,
     chsh_exact,
+    chsh_statistic,
     enumerate_uniform_tallies,
     nosignalling_deltas,
     skew,
@@ -26,19 +28,19 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_uniform_tallies(4)) == 625
 
     def test_first_tally_all_zero(self):
-        first = next(enumerate_uniform_tallies(3))
-        assert first == TallyTable(a=3, b=3, c=3, d=3)
+        assert next(enumerate_uniform_tallies(3)) == (0, 0, 0, 0)
 
     def test_lexicographic_order(self):
-        seq = list(enumerate_uniform_tallies(1))
-        keys = [t.corr_counts for t in seq]
+        keys = list(enumerate_uniform_tallies(1))
         assert keys == sorted(keys)
         assert keys[1] == (0, 0, 0, 1)
 
-    def test_all_uniform_and_in_range(self):
-        for t in enumerate_uniform_tallies(2):
-            assert t.setting_counts == (2, 2, 2, 2)
-            assert all(0 <= n <= 2 for n in t.corr_counts)
+    def test_all_distinct_and_in_range(self):
+        seq = list(enumerate_uniform_tallies(2))
+        assert len(set(seq)) == len(seq) == 81
+        for corr in seq:
+            assert len(corr) == 4
+            assert all(0 <= n <= 2 for n in corr)
 
     def test_cap_guard(self):
         with pytest.raises(EnumerationCapError):
@@ -70,6 +72,21 @@ class TestVerification:
             "checked", "n_per_setting", "conditions", "counterexamples", "elapsed_seconds",
         }
 
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_pipeline_runs_on_violating_tallies_only(self, monkeypatch, q):
+        summarized = []
+
+        def counted(tally):
+            summarized.append(tally)
+            return chsh_statistic(tally)
+
+        monkeypatch.setattr(bellkit.oracle, "chsh_statistic", counted)
+        assert verify_necessary_conditions(q).ok
+        tallies = [TallyTable(q, q, q, q, *corr) for corr in itertools.product(range(q + 1), repeat=4)]
+        violating = [t for t in tallies if chsh_exact(t) > 2]
+        assert violating
+        assert summarized == violating
+
     def test_cap_propagates(self):
         with pytest.raises(EnumerationCapError):
             verify_necessary_conditions(40, cap=10**5)
@@ -87,7 +104,8 @@ class TestVerification:
         # the oracle reads its thresholds from the bounds_report that analyze prints
         monkeypatch.setattr(bellkit.oracle, "bounds_report", lambda tally: dataclasses.replace(
             bounds_report(tally), **{threshold: value(tally)}))
-        violating = [t for t in enumerate_uniform_tallies(2) if chsh_exact(t) > 2]
+        tallies = [TallyTable(2, 2, 2, 2, *corr) for corr in enumerate_uniform_tallies(2)]
+        violating = [t for t in tallies if chsh_exact(t) > 2]
         assert violating
         report = verify_necessary_conditions(2)
         assert report.counterexamples == tuple((t, condition) for t in violating)

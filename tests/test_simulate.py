@@ -296,6 +296,30 @@ class TestKernel:
         as_int = (words >> np.uint64(11)) < np.uint64(threshold)
         assert as_int.tolist() == (unit_doubles(words) < p).tolist()
 
+    def test_quantum_comparisons_strict_at_the_threshold(self, monkeypatch):
+        # words exactly at each bound: a station-1 word of 2^63 draws -1, and a
+        # slot-2 word whose top 53 bits equal its pair's threshold is not correlated
+        cfg = make_config(trials=8, setting_scheme="round_robin")
+        thresholds = [unit_threshold(correlation_probability(cfg, k >> 1, k & 1)) for k in range(4)]
+        assert all(0 < t < 2**53 for t in thresholds)
+        crafted = {
+            1: [2**63 - 1, 2**63] * 4,
+            2: [t << 11 for t in thresholds] + [((t - 1) << 11) | (2**11 - 1) for t in thresholds],
+        }
+
+        def words(keys, slot, out):
+            out[:] = np.array(crafted[slot], dtype=np.uint64)
+            return out
+
+        monkeypatch.setattr("bellkit.simulate.trial_words", words)
+        chunks = []
+        tally = tally_for_range(cfg, 0, 8, write=lambda *trials: chunks.append(trials))
+        [(_, _, o1, o2)] = chunks
+        assert o1.tolist() == [1, -1] * 4
+        assert (o1 == o2).tolist() == [False] * 4 + [True] * 4
+        assert tally.corr_counts == (1, 1, 1, 1)
+        assert tally_for_range(cfg, 0, 8) == tally
+
     @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("scheme", ["uniform", "round-robin"])
     def test_cli_tally_exact_at_zero_and_pi(self, tmp_path, capsys, scheme, flip):

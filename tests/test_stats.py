@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bellkit import (
@@ -20,7 +20,7 @@ from bellkit import (
     sprime,
     uniform_prob_s,
 )
-from bellkit.stats import _correlation
+from bellkit.stats import _correlation, chsh_numerator, sprime_counts
 
 # S and the E values live in [-4, 4]; the agreement tolerance between
 # evaluation routes is 4 units in the last place at that magnitude.
@@ -147,6 +147,26 @@ class TestFloatsMatchExactRationals:
         corr_count = data.draw(st.integers(0, trial_count))
         expected = float(Fraction(2 * corr_count - trial_count, trial_count))
         assert _correlation(corr_count, trial_count) == expected
+
+
+class TestIntegerForms:
+    """The integer forms the oracle screens every tally with, against the TallyTable statistics."""
+
+    @given(populated_tallies(COUNT_MAX))
+    @example(TallyTable(a=3, b=3, c=3, d=3, n00=3, n01=3, n10=3, n11=3))  # S = 2 exactly
+    @example(TallyTable(a=1, b=2, c=3, d=4, n00=1, n01=2, n10=3, n11=4))  # S = 2 exactly
+    @example(TallyTable(a=1, b=2, c=3, d=4, n00=1, n01=2, n10=3, n11=3))
+    def test_violation_decision_matches_chsh_exact(self, t):
+        a, b, c, d = t.setting_counts
+        violates = chsh_numerator(t.setting_counts, t.corr_counts) > a * b * c * d
+        assert violates == (chsh_exact(t) > 2)
+
+    @given(populated_tallies(COUNT_MAX))
+    def test_sprime_counts_matches_sprime(self, t):
+        corr = t.corr_counts
+        n00, n01, n10, n11 = corr
+        reference = (n00 + n01 + n10 - n11, 3 * max(corr) - min(corr), 3 * min(corr) - max(corr))
+        assert sprime_counts(corr) == sprime(t) == reference
 
 
 class TestBell1964:
