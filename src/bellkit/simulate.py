@@ -17,6 +17,36 @@ unit_doubles(w2) < p. Station 1's outcome (slot 1) is drawn only when the
 outcomes themselves are wanted, so a bare tally reads two words per trial.
 The kernel applies flip_station2 itself, so what it returns is whether a
 trial is correlated, and the count and the trials are read from that.
+
+A hidden-variable station's sign is decided in integers on the slot-1
+word w, with np.cos only near an edge. The float expression is
+cos(theta - lambda) >= 0 with lambda = (w >> 11) * 2^-53 * 2pi, and it
+holds when lambda lies in the arc [theta - pi/2, theta + pi/2] mod 2pi.
+In words that arc starts at
+L = (floor((theta - pi/2) / (2pi) * 2^53) mod 2^53) << 11 and is 2^63 long,
+so the station answers +1 when d = (w - L) mod 2^64 < 2^63; uint64
+wraparound closes the circle. Station 1's outcome is d1 < 2^63, and a
+trial is correlated when (d1 ^ d2) < 2^63. A word within M = 2^35 of
+either edge of either station's arc ((d + M) mod 2^63 < 2M) takes the
+float expression, with np.cos run on those words only.
+
+Why the two agree bit for bit elsewhere, for |theta| <= 64: the float
+phase fl(theta - fl(m * 2^-53 * fl(2pi))), m = w >> 11, is below 2^7 in
+magnitude, so it is within 2^-51 + 2^-51 + 2^-47 < 2^-46 rad of the exact
+theta - lambda (fl(2pi)'s error, then half an ulp in [4, 8) and in
+[64, 128)). The edge's float (theta - pi/2) / (2pi) is below 2^4 turns
+and within 2^-48 turns of the exact value (half an ulp in [64, 128) over
+2pi, half an ulp in [8, 16), and fl(2pi)'s error), so after the exact
+scaling by 2^53 and the floor, L >> 11 is within 2^5 + 1 steps of 2^-53
+turns of the true arc start, and the arc's end lies exactly 2^52 steps
+further. A word outside the margin has m at least 2^24 - 1 steps from
+both, so theta - lambda is more than (2^24 - 34) * 2pi * 2^-53 > 2^-27 rad
+from every zero of cos. The float phase, within 2^-46 rad of it, lies on
+the same side of that zero, where |cos| > 2^-28, and any cos accurate to
+2^-28 gives the sign that the integer test gives. The float error grows
+with |theta|, so a config with an angle past 64 computes every chunk by
+the float expression. The slack, 2^-27 rad against 2^-46, would allow a
+far larger bound; 64 rad is already ten turns.
 """
 
 from __future__ import annotations
@@ -128,9 +158,53 @@ def correlation_probability(cfg: SimulationConfig, s1: int, s2: int) -> float:
     return math.cos(dtheta / 2.0) ** 2
 
 
+# The hidden-variable arc test (see the module docstring): the margin M in
+# words, the largest |theta| it is exact for, and the arc's length 2^63.
+_ARC_MARGIN = 1 << 35
+_ANGLE_BOUND = 64.0
+_HALF = np.uint64(1 << 63)
+_LOW63 = np.uint64((1 << 63) - 1)
+
+
+def _arc_starts(angles: tuple[float, ...]) -> np.ndarray:
+    """L per setting pair k: the word at which the arc where cos(theta - lambda) >= 0 starts."""
+    return np.array(
+        [(math.floor((t - math.pi / 2) / (2.0 * math.pi) * 2.0**53) % (1 << 53)) << 11 for t in angles],
+        dtype=np.uint64,
+    )
+
+
+def _near_edge(d: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Whether each d = (w - L) mod 2^64 lies within _ARC_MARGIN of 0 or of 2^63."""
+    np.add(d, np.uint64(_ARC_MARGIN), out=scratch)
+    scratch &= _LOW63
+    return scratch < np.uint64(2 * _ARC_MARGIN)
+
+
+def _cos_signs(
+    words: np.ndarray, k: np.ndarray, angles: tuple[tuple[float, ...], ...], lam: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Whether cos(theta - lambda) >= 0 at each station, by the float expression.
+
+    lambda = unit_doubles(words) * 2pi goes into lam (float64, allocated
+    when None), and words is overwritten. The angle tables are float64
+    even for int angles: np.take casts into out only from a dtype that
+    casts to it safely.
+    """
+    lam = unit_doubles(words, out=lam)
+    lam *= 2.0 * math.pi
+    phase = words.view(np.float64)
+    signs = []
+    for table in angles:
+        np.take(np.array(table, dtype=np.float64), k, out=phase)
+        phase -= lam
+        signs.append(np.cos(phase, out=phase) >= 0.0)
+    return signs
+
+
 def _work(size: int) -> list[np.ndarray]:
-    """The three uint64 buffers _chunk overwrites, for chunks of up to size trials."""
-    return [np.empty(size, dtype=np.uint64) for _ in range(3)]
+    """The four uint64 buffers _chunk overwrites, for chunks of up to size trials."""
+    return [np.empty(size, dtype=np.uint64) for _ in range(4)]
 
 
 def _chunk(
@@ -143,7 +217,7 @@ def _chunk(
     flip_station2 differ), and o1 station 1's outcome (int8), or None
     unless outcomes is true.
     """
-    keys, words, k = (buffer[: stop - start] for buffer in work)
+    keys, words, k, spare = (buffer[: stop - start] for buffer in work)
     trial_keys(cfg.seed, start, stop, out=keys)
     if cfg.setting_scheme == "round_robin":
         k = np.bitwise_and(np.arange(start, stop, dtype=np.int64), 3, out=k.view(np.int64))
@@ -160,28 +234,38 @@ def _chunk(
         if outcomes:
             # unit_doubles(w) < 0.5 exactly when w < 2^63
             trial_words(keys, 1, out=words)
-            o1 = np.where(words < np.uint64(1 << 63), np.int8(1), np.int8(-1))
+            o1 = np.where(words < _HALF, np.int8(1), np.int8(-1))
         trial_words(keys, 2, out=words)
         words >>= np.uint64(11)
         # the keys are spent, so their buffer takes each trial's threshold
         correlated = words < np.take(thresholds, k, out=keys)
     else:
         trial_words(keys, 1, out=words)
-        # the keys are spent, so their buffer takes lambda
-        lam = unit_doubles(words, out=keys.view(np.float64))
-        lam *= 2.0 * math.pi
-        # cos(theta - lambda) per station, with theta looked up by k;
-        # sign(0) := +1, so the responder is total and deterministic.
-        # The tables are float64 even for int angles: np.take casts into
-        # out only from a dtype that casts to it safely.
+        # theta per station, looked up by k; sign(0) := +1, so the responder
+        # is total and deterministic
         a, b = cfg.station1_angles, cfg.station2_angles
-        phase = words.view(np.float64)
-        np.take(np.array([a[0], a[0], a[1], a[1]], dtype=np.float64), k, out=phase)
-        phase -= lam
-        positive1 = np.cos(phase, out=phase) >= 0.0
-        np.take(np.array([b[0], b[1], b[0], b[1]], dtype=np.float64), k, out=phase)
-        phase -= lam
-        correlated = (np.cos(phase, out=phase) >= 0.0) == positive1
+        angles = ((a[0], a[0], a[1], a[1]), (b[0], b[1], b[0], b[1]))
+        if max(abs(t) for t in a + b) > _ANGLE_BOUND:
+            # the keys are spent, so their buffer takes lambda
+            positive1, positive2 = _cos_signs(words, k, angles, lam=keys.view(np.float64))
+            correlated = positive1 == positive2
+        else:
+            starts = [_arc_starts(table) for table in angles]
+            # d = (w - L) mod 2^64 per station, in the spent keys' buffer and
+            # the spare one; words then serves as scratch, since w = d1 + L1
+            d1 = np.subtract(words, np.take(starts[0], k, out=keys), out=keys)
+            d2 = np.subtract(words, np.take(starts[1], k, out=spare), out=spare)
+            near = _near_edge(d1, words)
+            near |= _near_edge(d2, words)
+            # the stations agree when d1 and d2 lie on the same side of 2^63
+            correlated = np.bitwise_xor(d1, d2, out=words) < _HALF
+            positive1 = d1 < _HALF if outcomes else None
+            if near.any():
+                at = np.flatnonzero(near)
+                signs = _cos_signs(d1[at] + starts[0][k[at]], k[at], angles)
+                correlated[at] = signs[0] == signs[1]
+                if outcomes:
+                    positive1[at] = signs[0]
         if outcomes:
             o1 = np.where(positive1, np.int8(1), np.int8(-1))
     if cfg.flip_station2:

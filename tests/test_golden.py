@@ -42,12 +42,19 @@ GOLDEN_TALLIES = {
     ("lhv", "round_robin", True, SEED_MAX): (75001, 75001, 75001, 75001, 9510, 21318, 18994, 50068),
 }
 
+# An LHV tally with one angle past the kernel's |theta| bound, so every
+# chunk takes the np.cos path; (model, scheme, flip, seed) as above.
+FALLBACK_ANGLES = (0.0, 1.2, 0.4, -100.0)
+GOLDEN_FALLBACK_TALLY = (75064, 75116, 74517, 75307, 65716, 62332, 55686, 59280)
+
 # SHA-256 of `simulate --emit-trials` for 10^4 uniform quantum trials,
 # seed 42, at the maximal-violation angles.
 GOLDEN_EMIT_SHA256 = {
     "jsonl": "198035e103b68b3eb871fae3b44475705e3b14133044b0a3530cf26d5b491768",
     "csv": "2aeb7432070c08ef929e4a16f1d9e36c5041e1bc32f035a4f519092f08571cdb",
 }
+# The same for 10^4 LHV trials at LHV_ANGLES, which pins station 1's outcome.
+GOLDEN_LHV_EMIT_SHA256 = "7335e0d33b9560cd8be17fc80b24aceb010e5d22d992ffb3c98a7a160159e5d3"
 
 
 @pytest.mark.parametrize("shards", [1, 3])
@@ -63,17 +70,36 @@ def test_golden_tally(case, shards):
     assert tuple(tally.to_dict().values()) == GOLDEN_TALLIES[case]
 
 
-@pytest.mark.parametrize("fmt", sorted(GOLDEN_EMIT_SHA256))
-def test_golden_emitted_trials(fmt, tmp_path, capsys):
+@pytest.mark.parametrize("shards", [1, 3])
+def test_golden_tally_past_the_angle_bound(shards):
+    a0, a1, b0, b1 = FALLBACK_ANGLES
+    cfg = SimulationConfig(
+        model="lhv", theta_a0=a0, theta_a1=a1, theta_b0=b0, theta_b1=b1,
+        trials=GOLDEN_TRIALS, seed=0,
+    )
+    tally = run_experiment(cfg, shards=shards).tally
+    assert tuple(tally.to_dict().values()) == GOLDEN_FALLBACK_TALLY
+
+
+def emitted_sha256(model, angles, fmt, tmp_path, capsys) -> str:
     emitted = tmp_path / f"trials.{fmt}"
     code = main([
-        "simulate", "--model", "quantum", "--angles", ",".join(map(repr, CHSH_MAX_ANGLES)),
+        "simulate", "--model", model, "--angles", ",".join(map(repr, angles)),
         "--trials", "10000", "--seed", "42", "--out", str(tmp_path / "tally.json"),
         "--emit-trials", str(emitted), "--emit-format", fmt,
     ])
     capsys.readouterr()
     assert code == 0
-    assert hashlib.sha256(emitted.read_bytes()).hexdigest() == GOLDEN_EMIT_SHA256[fmt]
+    return hashlib.sha256(emitted.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_EMIT_SHA256))
+def test_golden_emitted_trials(fmt, tmp_path, capsys):
+    assert emitted_sha256("quantum", CHSH_MAX_ANGLES, fmt, tmp_path, capsys) == GOLDEN_EMIT_SHA256[fmt]
+
+
+def test_golden_emitted_lhv_trials(tmp_path, capsys):
+    assert emitted_sha256("lhv", LHV_ANGLES, "jsonl", tmp_path, capsys) == GOLDEN_LHV_EMIT_SHA256
 
 
 # Pure-Python scalar reference for the counter-based stream: the per-trial

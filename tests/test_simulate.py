@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellkit import (
@@ -27,6 +27,8 @@ from bellkit import (
 from bellkit.cli import main
 from bellkit.rng import unit_doubles, unit_threshold
 from bellkit.simulate import (
+    _chunk,
+    _work,
     analytic_correlation,
     correlation_probability,
     tally_for_range,
@@ -267,6 +269,17 @@ class TestDeterminism:
 
 LHV_ANGLES = (0.0, 1.2, 0.4, -0.9)
 COS2_PI_8 = math.cos(math.pi / 8) ** 2  # P(outcomes equal) at the maximal-violation angles
+ARC_MARGIN = 2**35
+# word offsets from an arc edge: on it, next to it, one step of w >> 11 away, and around the margin
+EDGE_OFFSETS = (
+    0, 1, -1, 2**11 - 1, 2**11, -(2**11),
+    ARC_MARGIN - 1, ARC_MARGIN, ARC_MARGIN + 1, -ARC_MARGIN - 1, -ARC_MARGIN, -ARC_MARGIN + 1,
+)
+
+
+def arc_start(theta: float) -> int:
+    """The word at which the arc where cos(theta - lambda) >= 0 starts, lambda = (w >> 11) * 2^-53 * 2pi."""
+    return (math.floor((theta - math.pi / 2) / (2 * math.pi) * 2.0**53) % 2**53) << 11
 
 
 class TestKernel:
@@ -319,6 +332,65 @@ class TestKernel:
         assert (o1 == o2).tolist() == [False] * 4 + [True] * 4
         assert tally.corr_counts == (1, 1, 1, 1)
         assert tally_for_range(cfg, 0, 8) == tally
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        angles=st.lists(
+            st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi, 64.0, -64.0])
+            | st.floats(-64.0, 64.0),
+            min_size=4, max_size=4,
+        ),
+        offsets=st.lists(st.integers(-2 * ARC_MARGIN, 2 * ARC_MARGIN), max_size=8),
+        flip=st.booleans(),
+    )
+    # station 2 antipodal to station 1 in pair (0, 0): d1 ^ d2 is 2^63 for every word
+    @example(angles=[0.0, 1.2, math.pi, -0.9], offsets=[], flip=False)
+    def test_lhv_arc_test_matches_cos_at_the_edges(self, angles, offsets, flip):
+        # words on, next to and around both edges of each station's arc, per
+        # setting pair; np.cos must run on exactly the words in the margin
+        a0, a1, b0, b1 = angles
+        tables = ([a0, a0, a1, a1], [b0, b1, b0, b1])
+        starts = [[arc_start(t) for t in table] for table in tables]
+        per_pair = [
+            [(start + half + off) % 2**64
+             for start in (starts[0][k], starts[1][k]) for half in (0, 2**63)
+             for off in EDGE_OFFSETS + tuple(offsets)]
+            for k in range(4)
+        ]
+        # trial i of a round-robin run has k = i % 4
+        words = np.array([w for group in zip(*per_pair) for w in group], dtype=np.uint64)
+        k = np.arange(words.size) % 4
+        lam = unit_doubles(words) * (2.0 * math.pi)
+        positive1 = np.cos(np.array(tables[0])[k] - lam) >= 0.0
+        positive2 = np.cos(np.array(tables[1])[k] - lam) >= 0.0
+        near = np.zeros(words.size, dtype=bool)
+        for table in starts:
+            d = words - np.array(table, dtype=np.uint64)[k]
+            near |= ((d + np.uint64(ARC_MARGIN)) & np.uint64(2**63 - 1)) < np.uint64(2 * ARC_MARGIN)
+
+        cos, cosines = np.cos, []
+
+        def counting_cos(x, *args, **kwargs):
+            cosines.append(x.size)
+            return cos(x, *args, **kwargs)
+
+        def crafted(keys, slot, out):
+            out[:] = words
+            return out
+
+        cfg = make_config(
+            model="lhv", angles=angles, trials=words.size, setting_scheme="round_robin",
+            flip_station2=flip,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("bellkit.simulate.trial_words", crafted)
+            patch.setattr(np, "cos", counting_cos)
+            got_k, correlated, o1 = _chunk(cfg, 0, words.size, True, _work(words.size))
+        assert got_k.tolist() == k.tolist()
+        assert o1.tolist() == np.where(positive1, 1, -1).tolist()
+        assert correlated.tolist() == ((positive1 == positive2) != flip).tolist()
+        n_near = int(np.count_nonzero(near))
+        assert cosines == ([n_near, n_near] if n_near else [])
 
     @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("scheme", ["uniform", "round-robin"])
