@@ -35,7 +35,6 @@ from .stats import (
     chsh_exact,
     chsh_statistic,
     skew,
-    sprime,
     uniform_prob_s,
 )
 from .bounds import (
@@ -96,7 +95,6 @@ __all__ = [
     "run_experiment",
     "serialize_trial_line",
     "skew",
-    "sprime",
     "tally_from_trials",
     "uniform_prob_s",
     "verify_necessary_conditions",

@@ -1,18 +1,19 @@
 """Necessary conditions for CHSH violation and the no-signalling analysis.
 
 All threshold comparisons here are strict inequalities evaluated in exact
-rational arithmetic. Tolerances supplied as floats are interpreted through
-their shortest decimal representation (0.01 means 1/100, not the nearest
-binary double), so integer thresholds like the minimum trial count land
-exactly where the decimal value puts them.
+rational arithmetic. Every tolerance and magnitude goes through as_exact,
+the number rule the CLI's --epsilon and --delta share; a float is read
+through its shortest decimal (0.01 means 1/100, not the nearest binary
+double), so integer thresholds like the minimum trial count land exactly
+where the decimal value puts them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
@@ -35,31 +36,30 @@ _CELL_PAIRS = tuple(itertools.combinations(range(4), 2))
 def as_exact(value) -> Fraction:
     """Convert a tolerance/magnitude input to an exact rational.
 
-    ints, Fractions, and decimal strings convert losslessly; floats go
-    through repr so the decimal the caller typed is honored. A string whose
-    exponent exceeds 4300 in magnitude is refused before it is expanded.
+    ints and Fractions convert losslessly. Text with "/" is read as a Fraction
+    and other text as a Decimal, so 0e999999999 is 0. A nonzero Decimal with
+    more than 4300 digits, a last digit below 10^-4300 or a size of 10^4301
+    or more is refused before it is expanded, as Python's 4300-digit limit
+    on int strings makes Fraction(text) do. A float, numpy's too, is read as
+    its repr, so the decimal the caller typed is honored.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise DomainError(f"expected a number, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DomainError(f"expected a finite number, got {value!r}")
-        return Fraction(repr(value))
-    if isinstance(value, str):
-        # Fraction expands an exponent into that many digits; 4300 is Python's
-        # default limit on int-string digits, which Fraction applies to the rest
-        exponent = re.search(r"e([-+]?[\d_]+)\s*\Z", value, re.IGNORECASE)
-        try:
-            if exponent and abs(int(exponent[1])) > 4300:
-                raise DomainError(f"exponent out of range: {value!r}")
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"not a number: {value!r}") from exc
-    raise DomainError(f"expected a number, got {value!r}")
+        value = repr(float(value))
+    if not isinstance(value, str):
+        raise DomainError(f"expected a number, got {value!r}")
+    try:
+        number = Fraction(value) if "/" in value else Decimal(value)
+        if isinstance(number, Decimal) and number.is_finite() and number:
+            _, digits, exponent = number.as_tuple()
+            if len(digits) > 4300 or exponent < -4300 or number.adjusted() > 4300:
+                raise DomainError(f"digits or exponent out of range: {value!r}")
+        return Fraction(number)
+    except (ValueError, ArithmeticError) as exc:  # as for x/0, NaN and infinity
+        raise DomainError(f"not a number: {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,8 @@ class MarginalDelta:
 
     value is (alpha*n_beta - beta*n_alpha) / (alpha*(alpha+beta)) for cell
     counts alpha, beta and correlated counts n_alpha, n_beta. strength is
-    |alpha*n_beta - beta*n_alpha| / ((alpha+beta)*min(alpha,beta)), the
-    quantity the smallness criterion compares against epsilon; it is the
-    same for both orientations of a pair.
+    the pair strength of _strength, which the smallness criterion compares
+    against epsilon; it is the same for both orientations of a pair.
     """
 
     alpha: str
@@ -101,8 +100,13 @@ class NoSignallingReport:
         return tuple(d for d in self.deltas if d.strength_exact >= eps)
 
 
+def _strength(ca: int, cb: int, na: int, nb: int) -> tuple[int, int]:
+    """Pair strength |ca*nb - cb*na| / ((ca+cb)*min(ca, cb)) as (numerator, denominator)."""
+    return abs(ca * nb - cb * na), (ca + cb) * min(ca, cb)
+
+
 def epsilon_achieved(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> Fraction:
-    """Achieved epsilon: max over cell pairs of |alpha*n_beta - beta*n_alpha| / ((alpha+beta)*min).
+    """Achieved epsilon: the largest pair strength over the setting cells.
 
     Every setting count must be positive. The strength is the same for
     both orientations of a pair, so the six unordered pairs suffice; they
@@ -111,9 +115,7 @@ def epsilon_achieved(settings: tuple[int, int, int, int], corr: tuple[int, int, 
     """
     best_num, best_den = 0, 1
     for i, j in _CELL_PAIRS:
-        ca, cb, na, nb = settings[i], settings[j], corr[i], corr[j]
-        num = abs(ca * nb - cb * na)
-        den = (ca + cb) * min(ca, cb)
+        num, den = _strength(settings[i], settings[j], corr[i], corr[j])
         if num * best_den > best_num * den:
             best_num, best_den = num, den
     return Fraction(best_num, best_den)
@@ -126,27 +128,23 @@ def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
     largest pair strength, from epsilon_achieved.
     """
     t.require_populated()
-    counts = dict(zip(CELL_LABELS, t.setting_counts))
-    corr = dict(zip(CELL_LABELS, t.corr_counts))
+    counts, corr = t.setting_counts, t.corr_counts
     deltas = []
-    for alpha in CELL_LABELS:
-        for beta in CELL_LABELS:
-            if alpha == beta:
-                continue
-            ca, cb = counts[alpha], counts[beta]
-            cross = ca * corr[beta] - cb * corr[alpha]
-            value = Fraction(cross, ca * (ca + cb))
-            deltas.append(
-                MarginalDelta(
-                    alpha=alpha,
-                    beta=beta,
-                    value=float(value),
-                    value_exact=value,
-                    strength_exact=Fraction(abs(cross), (ca + cb) * min(ca, cb)),
-                    physical=frozenset((alpha, beta)) in PHYSICAL_PAIRS,
-                )
+    for i, j in itertools.permutations(range(4), 2):
+        alpha, beta = CELL_LABELS[i], CELL_LABELS[j]
+        ca, cb, na, nb = counts[i], counts[j], corr[i], corr[j]
+        value = Fraction(ca * nb - cb * na, ca * (ca + cb))
+        deltas.append(
+            MarginalDelta(
+                alpha=alpha,
+                beta=beta,
+                value=float(value),
+                value_exact=value,
+                strength_exact=Fraction(*_strength(ca, cb, na, nb)),
+                physical=frozenset((alpha, beta)) in PHYSICAL_PAIRS,
             )
-    achieved = epsilon_achieved(t.setting_counts, t.corr_counts)
+        )
+    achieved = epsilon_achieved(counts, corr)
     return NoSignallingReport(
         deltas=tuple(deltas),
         epsilon_achieved=float(achieved),
@@ -163,6 +161,14 @@ def violation_possible(n_min: int, sigma: int, n_total: int) -> bool:
     return 2 * (2 * n_min + 3 * sigma) > n_total
 
 
+def _magnitude(delta) -> Fraction:
+    """delta as an exact violation magnitude, which must be nonnegative."""
+    magnitude = as_exact(delta)
+    if magnitude < 0:
+        raise DomainError(f"violation magnitude must be nonnegative, got {delta!r}")
+    return magnitude
+
+
 def required_skew(n_total: int, delta) -> Fraction:
     """Strict lower bound N*Delta/24 on the skew needed to exceed 2 by Delta.
 
@@ -171,10 +177,7 @@ def required_skew(n_total: int, delta) -> Fraction:
     """
     if n_total <= 0:
         raise DomainError(f"trial count must be positive, got {n_total}")
-    magnitude = as_exact(delta)
-    if magnitude < 0:
-        raise DomainError(f"violation magnitude must be nonnegative, got {delta!r}")
-    return Fraction(n_total) * magnitude / 24
+    return Fraction(n_total) * _magnitude(delta) / 24
 
 
 def epsilon_floor(delta) -> Fraction:
@@ -183,10 +186,7 @@ def epsilon_floor(delta) -> Fraction:
     Holds for any uniform-settings experiment violating by Delta,
     independent of the number of trials.
     """
-    magnitude = as_exact(delta)
-    if magnitude < 0:
-        raise DomainError(f"violation magnitude must be nonnegative, got {delta!r}")
-    return magnitude / 12
+    return _magnitude(delta) / 12
 
 
 def min_trials(epsilon) -> int:
@@ -227,21 +227,14 @@ def bounds_report(t: TallyTable, delta=None, epsilon=None) -> BoundsReport:
     epsilon, when given, is the requested no-signalling tolerance.
     """
     n_total = t.total_trials
-    if delta is None:
-        magnitude = max(Fraction(0), chsh_exact(t) - 2)
-        source = "achieved"
-    else:
-        magnitude = as_exact(delta)
-        if magnitude < 0:
-            raise DomainError(f"delta must be nonnegative, got {delta!r}")
-        source = "requested"
+    magnitude = max(Fraction(0), chsh_exact(t) - 2) if delta is None else _magnitude(delta)
     sigma, _, n_min = skew(t)
     delta_small = Fraction(n_total) * magnitude / 8
     floor = epsilon_floor(magnitude)
     eps_for_n = as_exact(epsilon) if epsilon is not None else (floor if floor > 0 else None)
     return BoundsReport(
         delta=magnitude,
-        delta_source=source,
+        delta_source="achieved" if delta is None else "requested",
         delta_small=delta_small,
         required_skew=required_skew(n_total, magnitude),
         violation_possible=violation_possible(n_min, sigma, n_total),

@@ -17,16 +17,15 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import os
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import BellkitError, ConfigError, EnumerationCapError
+from .bounds import as_exact
+from .errors import BellkitError, ConfigError, DomainError, EnumerationCapError
 from .oracle import DEFAULT_CAP, verify_necessary_conditions
 from .report import build_analysis_report
 from .stats import Bell1964Result, bell1964_statistic
@@ -53,22 +52,19 @@ EXIT_COUNTEREXAMPLE = 4
 
 
 def _number_flag(accept, requirement: str):
-    """An argparse type: the text as an exact Fraction, kept when accept(number, float) holds."""
+    """An argparse type: as_exact of the text, kept when float() takes it and accept(number, float) holds."""
 
     def parse(text: str) -> Fraction:
         try:
-            # a Decimal keeps an exponent such as 1e999999999 as written; Fraction expands it
-            number = Fraction(text) if "/" in text else Decimal(text)
-            try:
-                approx = float(number)
-            except OverflowError:  # a Fraction past the float range
-                approx = math.inf
-            kept = accept(number, approx)
-        except (ValueError, ArithmeticError):
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+            number = as_exact(text)
+            kept = accept(number, float(number))
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        except OverflowError:  # past the float range
+            kept = False
         if not kept:
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
-        return Fraction(text) if number else Fraction(0)
+        return number
 
     return parse
 
@@ -158,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--header", action="store_true",
                      help="skip one header line (csv input)")
     ana.add_argument("--epsilon",
-                     type=_number_flag(lambda v, f: 0 < f < math.inf, "above 0 and finite as a float"),
+                     type=_number_flag(lambda v, f: f > 0, "above 0 and finite as a float"),
                      help="requested no-signalling tolerance")
     # S <= 4 on every tally, so no violation exceeds 2
     ana.add_argument("--delta",

@@ -278,6 +278,11 @@ def _arrays(k: np.ndarray, correlated: np.ndarray, o1: np.ndarray) -> tuple[np.n
     return (k >> 1).astype(np.int8), (k & 1).astype(np.int8), o1, np.where(correlated, o1, -o1)
 
 
+def _check_range(cfg: SimulationConfig, start: int, stop: int) -> None:
+    if not 0 <= start <= stop <= cfg.trials:
+        raise ConfigError(f"index range [{start}, {stop}) outside 0..{cfg.trials}")
+
+
 def trial_arrays(
     cfg: SimulationConfig, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -285,8 +290,7 @@ def trial_arrays(
 
     This evaluates the same kernel as tally_for_range, in one piece.
     """
-    if not 0 <= start <= stop <= cfg.trials:
-        raise ConfigError(f"index range [{start}, {stop}) outside 0..{cfg.trials}")
+    _check_range(cfg, start, stop)
     return _arrays(*_chunk(cfg, start, stop, True, _work(stop - start)))
 
 
@@ -299,14 +303,15 @@ def tally_for_range(
     (s1, s2, o1, o2) arrays, as trial_arrays gives them, in index order,
     so a caller can stream the trials and tally them from one generation
     pass. Without it no outcome is built, and slot 1 of a quantum trial is
-    not drawn.
+    not drawn. The range must lie within 0..cfg.trials.
     """
+    _check_range(cfg, start, stop)
     # bin 2k + 1 counts the correlated trials of setting pair k, bin 2k the rest
     counts = np.zeros(8, dtype=np.int64)
     # Without a hook one set of buffers serves every chunk. With one, each
     # chunk gets its own, freed before write runs, so they do not add to
     # the writer's memory peak.
-    work = _work(min(_CHUNK, max(stop - start, 0))) if write is None else None
+    work = _work(min(_CHUNK, stop - start)) if write is None else None
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
         k, correlated, o1 = _chunk(cfg, lo, hi, write is not None, work or _work(hi - lo))

@@ -7,7 +7,8 @@ exact value and never disturbed by intermediate rounding. S is one exact
 rational: an integer numerator over the product abcd of the cell counts.
 skew_counts, sprime_counts and chsh_numerator take the count tuples
 themselves, so the oracle decides S > 2 and the S' bounds without building
-a TallyTable or a Fraction; skew, sprime and chsh_exact apply them to a tally.
+a TallyTable or a Fraction. chsh_exact, skew and chsh_statistic apply them
+to a tally; S' of a tally is sprime_counts(t.corr_counts), its one form.
 """
 
 from __future__ import annotations
@@ -97,11 +98,6 @@ def skew(t: TallyTable) -> tuple[int, int, int]:
     return skew_counts(t.corr_counts)
 
 
-def sprime(t: TallyTable) -> tuple[int, int, int]:
-    """The tally's (s_prime, s_prime_max, s_prime_min); see sprime_counts."""
-    return sprime_counts(t.corr_counts)
-
-
 def chsh_exact(t: TallyTable) -> Fraction:
     """Exact S = 2*(n00/a + n01/b + n10/c - n11/d - 1), one integer numerator over abcd."""
     t.require_populated()
@@ -118,7 +114,7 @@ def chsh_statistic(t: TallyTable) -> ChshSummary:
     s_exact = chsh_exact(t)
     e_values = [_correlation(n, m) for n, m in zip(t.corr_counts, t.setting_counts)]
     sigma, n_max, n_min = skew(t)
-    s_prime, s_prime_max, s_prime_min = sprime(t)
+    s_prime, s_prime_max, s_prime_min = sprime_counts(t.corr_counts)
     violated = s_exact > 2
     return ChshSummary(
         e00=e_values[0],

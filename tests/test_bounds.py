@@ -6,8 +6,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bellkit import (
@@ -58,6 +59,27 @@ class TestAsExact:
             as_exact("abc")
         with pytest.raises(DomainError):
             as_exact(float("nan"))
+
+    def test_numpy_floats_read_through_their_shortest_decimal(self):
+        # repr(np.float64(0.01)) is "np.float64(0.01)" under numpy 2, which is not a number
+        assert as_exact(np.float64(0.01)) == Fraction(1, 100)
+        assert min_trials(np.float64(0.01)) == 201
+
+    def test_zero_with_a_huge_exponent_is_zero(self):
+        assert as_exact("0e999999999") == 0
+        assert bounds_report(TallyTable(4, 4, 4, 4, 4, 4, 4, 0), delta="0e999999999").delta == 0
+
+    # 12345e4299 is about 10^4303: its written exponent is in range, its size is not;
+    # each of the others would give a Fraction with a numerator or denominator past 4300 digits
+    @pytest.mark.parametrize("text", ["12345e4299", "0." + "1" * 5000, "1" * 5000 + "e-1000", "1.5e-4300"],
+                             ids=["size", "digits", "digits-with-exponent", "last-digit"])
+    def test_values_past_the_int_string_limit_are_refused(self, text):
+        with pytest.raises(DomainError, match="out of range"):
+            as_exact(text)
+
+    def test_digit_and_size_limits_are_inclusive(self):
+        assert as_exact("7" * 4300) == int("7" * 4300)
+        assert as_exact("1e4300") == 10**4300
 
 
 def test_huge_exponent_refused_at_once():
@@ -220,6 +242,21 @@ class TestNoSignalling:
         report = nosignalling_deltas(t)
         assert report.epsilon_achieved_exact == max(d.strength_exact for d in report.deltas)
         assert report.epsilon_achieved_exact >= 0
+
+    @given(populated_tallies())
+    @example(TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0))  # both bounds tight
+    def test_rate_gap_and_epsilon_bound_the_violation(self, t):
+        """sigma_r >= Delta/2 and the achieved epsilon >= Delta/4 on every tally, Delta = S - 2.
+
+        With rates r_xy = n_xy/cell, Delta = 2(r00 + r01 + r10 - r11) - 4 is
+        at most 2(r_max - r_min), and every pair strength is at least half its
+        rate gap. They are three times the paper's N*Delta/24 and Delta/12 on
+        uniform tallies.
+        """
+        delta = chsh_exact(t) - 2
+        rates = [Fraction(n, m) for n, m in zip(t.corr_counts, t.setting_counts)]
+        assert max(rates) - min(rates) >= delta / 2
+        assert epsilon_achieved(t.setting_counts, t.corr_counts) >= delta / 4
 
     @given(populated_tallies(max_count=2**64 - 1))
     def test_integer_form_is_max_of_twelve_strengths(self, t):

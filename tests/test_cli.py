@@ -22,6 +22,7 @@ from bellkit import (
     tally_from_trials,
     write_tally,
 )
+from bellkit.bounds import as_exact
 from bellkit.cli import main
 from bellkit.trials import trial_chunk_writer
 
@@ -301,6 +302,13 @@ class TestAnalyze:
             assert report["bounds"]["min_trials_epsilon"] == float(Fraction(text))
         assert len(str(report["bounds"]["min_trials"])) < 330
 
+    @pytest.mark.parametrize("text", ["0e999999999", "-0", "1/3", "5e-324", "2", "0.828"])
+    def test_delta_flag_reads_as_exact(self, capsys, tmp_path, text):
+        path = self.write_tally_file(
+            tmp_path, a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0)
+        _, stdout, _ = run_cli(capsys, "analyze", "--tally", str(path), "--delta", text)
+        assert json.loads(stdout)["bounds"]["delta_exact"] == str(as_exact(text))
+
     def test_bell1964_section(self, capsys, tmp_path):
         path = self.write_tally_file(
             tmp_path, a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2)
@@ -407,6 +415,7 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (["analyze", "--tally", "{tally}", "--epsilon", "1e-5000"], {}, 2),
     (["analyze", "--tally", "{tally}", "--delta", "1e-5000"], {}, 2),
     (["analyze", "--tally", "{tally}", "--epsilon", "1e99999999"], {}, 2),
+    (["analyze", "--tally", "{tally}", "--delta", "0." + "1" * 5000], {}, 2),
     (["analyze", "--tally", "{deep}"], {}, 1),
     (["analyze", "--trials", "{deep}"], {}, 1),
     (SIMULATE + ["{deep}"], {}, 2),
@@ -426,7 +435,8 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
         "config-angle-difference", "angles-difference-quantum", "angles-difference-lhv",
         "bell1964-n-above-N", "bell1964-empty-pair", "bell1964-negative", "bell1964-above-64-bit",
         "delta-overflows-float", "epsilon-overflows-float", "epsilon-underflows-float",
-        "delta-underflows-float", "epsilon-huge-exponent", "tally-deep-json", "trials-deep-json",
+        "delta-underflows-float", "epsilon-huge-exponent", "delta-5000-digits",
+        "tally-deep-json", "trials-deep-json",
         "config-deep-json", "oracle-huge-k", "out-missing-dir", "emit-missing-dir",
         "seed-negative", "seed-above-64-bit", "trials-zero", "cap-zero"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):

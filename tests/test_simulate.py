@@ -10,6 +10,7 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from bellkit import (
     CHSH_MAX_ANGLES,
     ConfigError,
     SimulationConfig,
+    chsh_exact,
     chsh_statistic,
     merge_tallies,
     run_experiment,
 )
+from bellkit.bounds import epsilon_achieved
 from bellkit.cli import main
 from bellkit.rng import unit_doubles, unit_threshold
 from bellkit.simulate import (
@@ -148,6 +151,34 @@ def test_correlations_calibrated_across_seeds(model, scheme, flip):
             assert abs(2 * n / m - 1 - e) <= 5 * math.sqrt((1 - e * e) / m), (seed, key)
 
 
+def test_paper_bounds_hold_exactly_on_simulated_tallies():
+    """sigma_r >= Delta/2 and the achieved epsilon >= Delta/4 on every violating simulated tally.
+
+    test_bounds.py checks both as a property of every tally; this sweep shows
+    the paper's claim on the simulator's own output, on the 15 of its 200
+    seeded configs that violate.
+    """
+    rng = random.Random(2017)
+    violating = 0
+    for model, scheme, flip in itertools.product(
+            ("quantum", "lhv"), ("uniform_random", "round_robin"), (False, True)):
+        for _ in range(25):
+            cfg = make_config(model=model, angles=[rng.uniform(-4, 4) for _ in range(4)],
+                              trials=400, seed=rng.getrandbits(64), setting_scheme=scheme,
+                              flip_station2=flip)
+            t = run_experiment(cfg).tally
+            if 0 in t.setting_counts:
+                continue
+            delta = chsh_exact(t) - 2
+            if delta <= 0:
+                continue
+            violating += 1
+            rates = [Fraction(n, m) for n, m in zip(t.corr_counts, t.setting_counts)]
+            assert max(rates) - min(rates) >= delta / 2, t
+            assert epsilon_achieved(t.setting_counts, t.corr_counts) >= delta / 4, t
+    assert violating >= 10
+
+
 class TestLhvSampler:
     def test_sawtooth_correlation(self):
         # analytic E = 1 - 2|dtheta|/pi on [0, pi]
@@ -265,6 +296,16 @@ class TestDeterminism:
 
     def test_empty_range(self):
         assert [a.size for a in trial_arrays(make_config(trials=10), 3, 3)] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("start, stop", [(0, 1000), (-3, 5)])
+    def test_tally_for_range_refuses_indices_outside_the_config(self, start, stop):
+        written = []
+        with pytest.raises(ConfigError, match=r"outside 0\.\.8"):
+            tally_for_range(make_config(trials=8), start, stop, write=lambda *arrays: written.append(arrays))
+        assert written == []
+
+    def test_tally_for_range_empty_range(self):
+        assert tally_for_range(make_config(trials=8), 3, 3).total_trials == 0
 
 
 LHV_ANGLES = (0.0, 1.2, 0.4, -0.9)

@@ -17,7 +17,6 @@ from bellkit import (
     chsh_exact,
     chsh_statistic,
     skew,
-    sprime,
     uniform_prob_s,
 )
 from bellkit.stats import _correlation, chsh_numerator, sprime_counts
@@ -117,21 +116,21 @@ class TestSkewSprime:
 
     def test_sprime_examples(self):
         t = TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0)
-        assert sprime(t) == (12, 12, -4)
+        assert sprime_counts(t.corr_counts) == (12, 12, -4)
         t = TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2)
-        assert sprime(t) == (4, 4, 4)
+        assert sprime_counts(t.corr_counts) == (4, 4, 4)
         t = TallyTable(a=4, b=4, c=4, d=4, n00=3, n01=1, n10=2, n11=2)
-        assert sprime(t) == (4, 2 * 1 + 3 * 2, 0)
+        assert sprime_counts(t.corr_counts) == (4, 2 * 1 + 3 * 2, 0)
 
     @given(populated_tallies())
     def test_bounds_order(self, t):
-        s_prime, s_max, s_min = sprime(t)
+        s_prime, s_max, s_min = sprime_counts(t.corr_counts)
         assert s_min <= s_prime <= s_max
 
     @given(populated_tallies())
     def test_both_closed_forms_agree(self, t):
         sigma, n_max, n_min = skew(t)
-        _, s_max, s_min = sprime(t)
+        _, s_max, s_min = sprime_counts(t.corr_counts)
         assert s_max == 3 * n_max - n_min == 2 * n_min + 3 * sigma
         assert s_min == 3 * n_min - n_max == 2 * n_min - sigma
 
@@ -166,7 +165,7 @@ class TestIntegerForms:
         corr = t.corr_counts
         n00, n01, n10, n11 = corr
         reference = (n00 + n01 + n10 - n11, 3 * max(corr) - min(corr), 3 * min(corr) - max(corr))
-        assert sprime_counts(corr) == sprime(t) == reference
+        assert sprime_counts(corr) == reference
 
 
 class TestBell1964:
@@ -215,7 +214,7 @@ class TestExactValue:
     def test_exact_matches_sprime_identity(self, t):
         # S = 2*(S' - q)/q on uniform tallies, exactly
         q = t.a
-        s_prime, _, _ = sprime(t)
+        s_prime, _, _ = sprime_counts(t.corr_counts)
         assert chsh_exact(t) == Fraction(2 * (s_prime - q), q)
 
     @given(st.data(), st.tuples(*[st.integers(1, COUNT_MAX)] * 4))
