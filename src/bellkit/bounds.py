@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
-from .stats import chsh_exact, skew
+from .stats import chsh_numerator, skew
 from .trials import CELL_LABELS, TallyTable
 
 # Unordered setting-cell pairs whose comparison is a physical marginal
@@ -36,19 +37,21 @@ _CELL_PAIRS = tuple(itertools.combinations(range(4), 2))
 def as_exact(value) -> Fraction:
     """Convert a tolerance/magnitude input to an exact rational.
 
-    ints and Fractions convert losslessly. Text with "/" is read as a Fraction
-    and other text as a Decimal, so 0e999999999 is 0. A nonzero Decimal with
-    more than 4300 digits, a last digit below 10^-4300 or a size of 10^4301
-    or more is refused before it is expanded, as Python's 4300-digit limit
-    on int strings makes Fraction(text) do. A float, numpy's too, is read as
-    its repr, so the decimal the caller typed is honored.
+    Integers (numpy's too, but not bools) and Fractions convert losslessly.
+    Text with "/" is read as a Fraction and other text as a Decimal, so
+    0e999999999 is 0. A nonzero Decimal with more than 4300 digits, a last
+    digit below 10^-4300 or a size of 10^4301 or more is refused before it
+    is expanded, as Python's 4300-digit limit on int strings makes
+    Fraction(text) do. Any other real scalar, a float or a numpy float of
+    any width, is read as its str, the shortest decimal of its own type, so
+    the decimal the caller typed is honored: np.float32(0.1) is 1/10.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, float):
-        value = repr(float(value))
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return Fraction(int(value))
+        value = str(value)
     if not isinstance(value, str):
         raise DomainError(f"expected a number, got {value!r}")
     try:
@@ -105,20 +108,24 @@ def _strength(ca: int, cb: int, na: int, nb: int) -> tuple[int, int]:
     return abs(ca * nb - cb * na), (ca + cb) * min(ca, cb)
 
 
-def epsilon_achieved(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> Fraction:
-    """Achieved epsilon: the largest pair strength over the setting cells.
+def _max_strength(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> tuple[int, int]:
+    """The largest pair strength over the setting cells, as (numerator, denominator).
 
     Every setting count must be positive. The strength is the same for
     both orientations of a pair, so the six unordered pairs suffice; they
-    are compared by integer cross-multiplication and one Fraction is built
-    for the largest.
+    are compared by integer cross-multiplication.
     """
     best_num, best_den = 0, 1
     for i, j in _CELL_PAIRS:
         num, den = _strength(settings[i], settings[j], corr[i], corr[j])
         if num * best_den > best_num * den:
             best_num, best_den = num, den
-    return Fraction(best_num, best_den)
+    return best_num, best_den
+
+
+def epsilon_achieved(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> Fraction:
+    """Achieved epsilon: the largest pair strength over the setting cells, as one Fraction."""
+    return Fraction(*_max_strength(settings, corr))
 
 
 def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
@@ -161,6 +168,17 @@ def violation_possible(n_min: int, sigma: int, n_total: int) -> bool:
     return 2 * (2 * n_min + 3 * sigma) > n_total
 
 
+def _thresholds(n_total: int, num: int, den: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The strict bounds N*Delta/24 and Delta/12 for Delta = num/den, as (numerator, denominator) pairs.
+
+    These are the paper's thresholds, stated once: required_skew,
+    epsilon_floor and bounds_report build their Fractions from the pairs,
+    and the oracle compares against them by cross-multiplication. The
+    pairs are not reduced; Delta/12 does not depend on N.
+    """
+    return (n_total * num, 24 * den), (num, 12 * den)
+
+
 def _magnitude(delta) -> Fraction:
     """delta as an exact violation magnitude, which must be nonnegative."""
     magnitude = as_exact(delta)
@@ -177,7 +195,9 @@ def required_skew(n_total: int, delta) -> Fraction:
     """
     if n_total <= 0:
         raise DomainError(f"trial count must be positive, got {n_total}")
-    return Fraction(n_total) * _magnitude(delta) / 24
+    magnitude = _magnitude(delta)
+    bound, _ = _thresholds(n_total, magnitude.numerator, magnitude.denominator)
+    return Fraction(*bound)
 
 
 def epsilon_floor(delta) -> Fraction:
@@ -186,7 +206,9 @@ def epsilon_floor(delta) -> Fraction:
     Holds for any uniform-settings experiment violating by Delta,
     independent of the number of trials.
     """
-    return _magnitude(delta) / 12
+    magnitude = _magnitude(delta)
+    _, floor = _thresholds(0, magnitude.numerator, magnitude.denominator)
+    return Fraction(*floor)
 
 
 def min_trials(epsilon) -> int:
@@ -223,20 +245,29 @@ class BoundsReport:
 def bounds_report(t: TallyTable, delta=None, epsilon=None) -> BoundsReport:
     """Assemble the necessity thresholds for a tally.
 
-    delta defaults to the achieved violation magnitude max(0, S - 2);
-    epsilon, when given, is the requested no-signalling tolerance.
+    delta defaults to the achieved violation magnitude max(0, S - 2), which
+    needs every setting cell populated: with X the chsh_numerator less abcd,
+    it is 2*max(0, X)/abcd. epsilon, when given, is the requested
+    no-signalling tolerance.
     """
     n_total = t.total_trials
-    magnitude = max(Fraction(0), chsh_exact(t) - 2) if delta is None else _magnitude(delta)
+    if delta is None:
+        t.require_populated()
+        a, b, c, d = t.setting_counts
+        den = a * b * c * d
+        num = 2 * max(0, chsh_numerator(t.setting_counts, t.corr_counts) - den)
+    else:
+        magnitude = _magnitude(delta)
+        num, den = magnitude.numerator, magnitude.denominator
+    skew_bound, floor_bound = _thresholds(n_total, num, den)
     sigma, _, n_min = skew(t)
-    delta_small = Fraction(n_total) * magnitude / 8
-    floor = epsilon_floor(magnitude)
+    floor = Fraction(*floor_bound)
     eps_for_n = as_exact(epsilon) if epsilon is not None else (floor if floor > 0 else None)
     return BoundsReport(
-        delta=magnitude,
+        delta=Fraction(num, den),
         delta_source="achieved" if delta is None else "requested",
-        delta_small=delta_small,
-        required_skew=required_skew(n_total, magnitude),
+        delta_small=Fraction(n_total * num, 8 * den),
+        required_skew=Fraction(*skew_bound),
         violation_possible=violation_possible(n_min, sigma, n_total),
         epsilon_floor=floor,
         min_trials=min_trials(eps_for_n) if eps_for_n is not None else None,

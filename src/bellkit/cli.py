@@ -50,6 +50,13 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_COUNTEREXAMPLE = 4
 
+# analyze prints Delta, N*Delta/8, N*Delta/24 and Delta/12 as exact fractions, and
+# Python writes an int of at most 4300 digits. A tally's N < 2^66 adds at most 20
+# digits to Delta's numerator and 24 adds 2 to its denominator, so these bound the
+# numerator and denominator of a --delta that renders.
+DELTA_NUMERATOR_LIMIT = 10 ** (4300 - 20)
+DELTA_DENOMINATOR_LIMIT = 10 ** (4300 - 2)
+
 
 def _number_flag(accept, requirement: str):
     """An argparse type: as_exact of the text, kept when float() takes it and accept(number, float) holds."""
@@ -158,8 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="requested no-signalling tolerance")
     # S <= 4 on every tally, so no violation exceeds 2
     ana.add_argument("--delta",
-                     type=_number_flag(lambda v, f: v == 0 or (f > 0 and v <= 2),
-                                       "0, or above 0 as a float and at most 2"),
+                     type=_number_flag(lambda v, f: (v == 0 or (f > 0 and v <= 2))
+                                       and v.numerator < DELTA_NUMERATOR_LIMIT
+                                       and v.denominator < DELTA_DENOMINATOR_LIMIT,
+                                       "0, or above 0 as a float and at most 2, with at most "
+                                       "4280 digits above and 4298 below its fraction bar"),
                      help="requested violation magnitude for the bound thresholds")
     ana.add_argument("--bell1964", type=_bell1964_flag,
                      metavar="n_ac,N_ac,n_ba,N_ba,n_bc,N_bc",

@@ -10,15 +10,18 @@ holds with zero counterexamples:
   sprime_bounds:            S'_min <= S' <= S'_max for every tally
   uniformity_no_violation:  sigma = 0 implies S <= 2
 
-Every tally is screened in integers: the S' bounds, and S > 2 as the
-chsh_exact numerator exceeding abcd. The other four conditions all read
-"S > 2 implies ...", so only a violating tally becomes a TallyTable and
-goes through the analyzer's pipeline (chsh_statistic, bounds_report, and
-the achieved epsilon of nosignalling_deltas). The two thresholds are the
-required_skew and epsilon_floor of the same bounds_report that `analyze`
-prints, so the oracle checks what a user reads. Exact arithmetic matters:
-several conditions sit on strict-inequality boundaries (S exactly 2) where
-floating point could manufacture or hide a counterexample.
+Every tally is screened in integers: the S' bounds, and S > 2 as
+X = chsh_numerator - abcd being positive. The other four conditions all
+read "S > 2 implies ...", so only a violating tally becomes a TallyTable
+and goes through chsh_statistic, the analyzer's summary, which gives sigma.
+The two thresholds are the (numerator, denominator) pairs of
+bounds._thresholds at Delta = 2X/abcd, the one statement from which
+bounds_report builds the required_skew and epsilon_floor that `analyze`
+prints; the oracle compares against them by cross-multiplication, with
+the achieved epsilon's own pair, so it checks what a user reads without
+building a Fraction. Exact arithmetic matters: several conditions sit on
+strict-inequality boundaries (S exactly 2) where floating point could
+manufacture or hide a counterexample.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
-from .bounds import bounds_report, epsilon_achieved
+from .bounds import _max_strength, _thresholds
 from .errors import DomainError, EnumerationCapError
 from .stats import chsh_numerator, chsh_statistic, sprime_counts
 from .trials import TallyTable
@@ -93,13 +96,14 @@ def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> C
 
     Every tally is screened in integers, with no TallyTable and no Fraction:
     the S' bounds, and whether S > 2. Each violating tally is then pushed
-    through the analyzer's pipeline (chsh_statistic, bounds_report and the
-    achieved epsilon that nosignalling_deltas reports), so the conditions
-    that only bind under a violation exercise the code paths analyze uses.
+    through chsh_statistic, so the conditions that only bind under a
+    violation read the sigma that analyze prints, and its thresholds are
+    decided on the integer pairs of _thresholds.
     """
     started = time.perf_counter()
     q = n_per_setting
     settings = (q, q, q, q)
+    n_total = 4 * q
     abcd = q**4
     checked = 0
     failures: list[tuple[TallyTable, str]] = []
@@ -108,18 +112,21 @@ def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> C
         s_prime, s_prime_max, s_prime_min = sprime_counts(corr)
         if not s_prime_min <= s_prime <= s_prime_max:
             failures.append((TallyTable(q, q, q, q, *corr), "sprime_bounds"))
-        if chsh_numerator(settings, corr) <= abcd:
+        x = chsh_numerator(settings, corr) - abcd
+        if x <= 0:
             continue
         tally = TallyTable(q, q, q, q, *corr)
-        summary = chsh_statistic(tally)
-        bounds = bounds_report(tally)
-        if summary.sigma == 0:
+        sigma = chsh_statistic(tally).sigma
+        # Delta = S - 2 = 2X/abcd
+        (skew_num, skew_den), (floor_num, floor_den) = _thresholds(n_total, 2 * x, abcd)
+        eps_num, eps_den = _max_strength(settings, corr)
+        if sigma == 0:
             failures.append((tally, "uniformity_no_violation"))
-        if summary.sigma < 1:
+        if sigma < 1:
             failures.append((tally, "sigma_ge_1"))
-        if not summary.sigma > bounds.required_skew:
+        if not sigma * skew_den > skew_num:
             failures.append((tally, "sigma_gt_NDelta_24"))
-        if not epsilon_achieved(settings, corr) > bounds.epsilon_floor:
+        if not eps_num * floor_den > floor_num * eps_den:
             failures.append((tally, "eps_gt_Delta_12"))
     return CounterexampleReport(
         checked=checked,

@@ -24,7 +24,7 @@ from bellkit import (
     skew,
     violation_possible,
 )
-from bellkit.bounds import PHYSICAL_PAIRS, as_exact, epsilon_achieved
+from bellkit.bounds import PHYSICAL_PAIRS, _thresholds, as_exact, epsilon_achieved
 
 
 @st.composite
@@ -64,15 +64,30 @@ class TestAsExact:
         # repr(np.float64(0.01)) is "np.float64(0.01)" under numpy 2, which is not a number
         assert as_exact(np.float64(0.01)) == Fraction(1, 100)
         assert min_trials(np.float64(0.01)) == 201
+        # the shortest decimal of the float32 itself, not of the double it widens to
+        assert as_exact(np.float32(0.1)) == Fraction(1, 10)
+        assert min_trials(np.float32(0.5)) == min_trials(0.5) == 5
+
+    def test_numpy_integers_convert_losslessly(self):
+        assert as_exact(np.int64(2)) == 2
+        assert as_exact(np.uint64(2**64 - 1)) == 2**64 - 1
+        assert min_trials(np.int64(2)) == min_trials(2) == 2
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), None, 1j])
+    def test_bools_and_non_reals_refused(self, value):
+        with pytest.raises(DomainError, match="expected a number"):
+            as_exact(value)
 
     def test_zero_with_a_huge_exponent_is_zero(self):
         assert as_exact("0e999999999") == 0
         assert bounds_report(TallyTable(4, 4, 4, 4, 4, 4, 4, 0), delta="0e999999999").delta == 0
 
-    # 12345e4299 is about 10^4303: its written exponent is in range, its size is not;
-    # each of the others would give a Fraction with a numerator or denominator past 4300 digits
-    @pytest.mark.parametrize("text", ["12345e4299", "0." + "1" * 5000, "1" * 5000 + "e-1000", "1.5e-4300"],
-                             ids=["size", "digits", "digits-with-exponent", "last-digit"])
+    # 12345e4299 is about 10^4303 and 1e4301 is the smallest size the rule refuses: their
+    # written exponents are in range, their sizes are not; each of the others would give
+    # a Fraction with a numerator or denominator past 4300 digits
+    @pytest.mark.parametrize("text", ["12345e4299", "1e4301", "0." + "1" * 5000, "1" * 5000 + "e-1000",
+                                      "1.5e-4300"],
+                             ids=["size", "size-edge", "digits", "digits-with-exponent", "last-digit"])
     def test_values_past_the_int_string_limit_are_refused(self, text):
         with pytest.raises(DomainError, match="out of range"):
             as_exact(text)
@@ -110,6 +125,16 @@ class TestViolationPossible:
         assert not violation_possible(n_min=4, sigma=0, n_total=16)
         assert violation_possible(n_min=4, sigma=0, n_total=15)
         assert not violation_possible(n_min=4, sigma=0, n_total=17)
+
+    def test_tight_at_s_equal_2(self):
+        # n = (3, 3, 3, 1) at 4 trials per setting reaches S' = 3*n_max - n_min = N/2,
+        # so S is exactly 2: 2*n_min + 3*sigma = 2 + 6 = N/2 and no violation is possible
+        t = TallyTable(a=4, b=4, c=4, d=4, n00=3, n01=3, n10=3, n11=1)
+        sigma, _, n_min = skew(t)
+        assert (sigma, n_min) == (2, 1)
+        assert chsh_exact(t) == 2
+        assert not violation_possible(n_min, sigma, t.total_trials)
+        assert not bounds_report(t).violation_possible
 
     def test_no_trials_rejected(self):
         with pytest.raises(DomainError):
@@ -295,3 +320,19 @@ class TestBoundsReport:
         rep = bounds_report(t)
         assert rep.delta == 0
         assert rep.min_trials is None
+
+    def test_achieved_delta_needs_every_cell(self):
+        with pytest.raises(EmptyCellError):
+            bounds_report(TallyTable(a=4, b=4, c=0, d=4, n00=4, n01=4, n11=0))
+
+    @given(populated_tallies(max_count=2**64 - 1), st.none() | st.fractions(0, 2))
+    @example(TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0), None)
+    def test_thresholds_are_the_shared_pairs(self, t, delta):
+        """required_skew = N*Delta/24 and epsilon_floor = Delta/12, built from _thresholds."""
+        rep = bounds_report(t, delta=delta)
+        n_total = t.total_trials
+        magnitude = max(Fraction(0), chsh_exact(t) - 2) if delta is None else delta
+        skew_pair, floor_pair = _thresholds(n_total, magnitude.numerator, magnitude.denominator)
+        assert rep.delta == magnitude
+        assert rep.required_skew == Fraction(*skew_pair) == n_total * magnitude / 24
+        assert rep.epsilon_floor == Fraction(*floor_pair) == magnitude / 12

@@ -428,6 +428,9 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
       "--seed", str(2**64)], {}, "--seed"),
     (["simulate", "--model", "lhv", "--trials", "0", "--out", "{out}"], {}, "--trials"),
     (["oracle", "--n-per-setting", "2", "--cap", "0"], {}, "--cap"),
+    # accepted by as_exact, but Delta/12 or N*Delta/24 would pass 4300 digits in the report
+    (["analyze", "--tally", "{tally}", "--delta", "0." + "1" * 4299 + "3"], {}, "--delta"),
+    (["analyze", "--tally", "{tally}", "--delta", "1" * 4300 + "/2" + "0" * 4299], {}, "--delta"),
 ], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
         "threads-not-integer", "threads-zero", "trials-huge-int", "tally-huge-count",
         "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool",
@@ -438,7 +441,8 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
         "delta-underflows-float", "epsilon-huge-exponent", "delta-5000-digits",
         "tally-deep-json", "trials-deep-json",
         "config-deep-json", "oracle-huge-k", "out-missing-dir", "emit-missing-dir",
-        "seed-negative", "seed-above-64-bit", "trials-zero", "cap-zero"])
+        "seed-negative", "seed-above-64-bit", "trials-zero", "cap-zero",
+        "delta-4300-digits", "delta-4300-digit-numerator"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
     """expected is an exit code, or the flag that argparse must reject (exit 2)."""
     tally = tmp_path / "tally.json"

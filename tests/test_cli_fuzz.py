@@ -12,9 +12,11 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -201,3 +203,44 @@ def test_simulate(model, trials, seed, round_robin, shards, threads, emit, missi
 def test_oracle(k, cap):
     argv = ["oracle", f"--n-per-setting={k}"] + (["--cap", str(cap)] if cap is not None else [])
     run("oracle", argv)
+
+
+# --delta texts at each digit and exponent edge, and whether analyze renders them. as_exact
+# takes up to 4300 digits and 10^-4300, but what analyze prints (N*Delta/24 with N < 2^66)
+# fits Python's 4300-digit int text only for 4280 digits above Delta's fraction bar and
+# 4298 below it; past that budget the flag exits 2. The decimal, numerator and denominator
+# edges are worst cases: at N = 2^66 - 5, which is prime to 2, 3 and 5, nothing in
+# N*Delta/24 cancels, and each budget + 1 text would print a 4301-digit integer.
+DELTA_EDGES = [
+    pytest.param("0." + "1" * 4299 + "3", False, id="4300-digits"),
+    pytest.param("1" * 4300 + "/2" + "0" * 4299, False, id="4300-digits-over-2e4299"),
+    pytest.param("0." + "9" * 4279 + "7", True, id="decimal-budget"),
+    pytest.param("0." + "9" * 4280 + "7", False, id="decimal-budget+1"),
+    pytest.param("9" * 4279 + "7/2" + "0" * 4280, True, id="numerator-budget"),
+    pytest.param("9" * 4280 + "7/2" + "0" * 4281, False, id="numerator-budget+1"),
+    pytest.param("1" + "0" * 4278 + "1/" + "9" * 4298, True, id="denominator-budget"),
+    pytest.param("1" + "0" * 4278 + "1/" + "9" * 4299, False, id="denominator-budget+1"),
+    pytest.param("9" * 4280 + "e-4297", True, id="exponent-budget"),
+    pytest.param("9" * 4280 + "e-4298", False, id="exponent-budget+1"),
+    pytest.param("5e-324", True, id="smallest-float"),
+    pytest.param("1e-4300", False, id="below-the-float-range"),
+    pytest.param("1e4300", False, id="above-2"),
+    pytest.param("1e4301", False, id="past-the-number-rule"),
+]
+
+
+@pytest.mark.parametrize("text, renders", DELTA_EDGES)
+@pytest.mark.parametrize("cells", [(4,) * 4, (2**64 - 1,) * 3 + (2**64 - 2,)],
+                         ids=["small-counts", "largest-counts"])
+def test_delta_at_digit_edges(tmp_path, text, renders, cells):
+    path = tmp_path / "tally.json"
+    path.write_text(json.dumps({**dict(zip(CELL_LABELS, cells)),
+                                **dict(zip(CORR_LABELS, cells[:3] + (0,)))}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--tally", str(path), f"--delta={text}"])
+    assert code == (3 if renders else 2), err.getvalue()[-300:]
+    if renders:
+        assert json.loads(out.getvalue())["bounds"]["delta_exact"] == str(Fraction(text))
+    else:
+        assert "argument --delta" in err.getvalue() and out.getvalue() == ""

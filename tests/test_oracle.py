@@ -1,6 +1,5 @@
 """Exhaustive enumeration and the necessity-condition checks."""
 
-import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -19,6 +18,7 @@ from bellkit import (
     skew,
     verify_necessary_conditions,
 )
+from bellkit.bounds import _thresholds
 from bellkit.oracle import CONDITIONS
 
 
@@ -91,6 +91,39 @@ class TestVerification:
         with pytest.raises(EnumerationCapError):
             verify_necessary_conditions(40, cap=10**5)
 
+    @staticmethod
+    def patch_thresholds(monkeypatch, replace):
+        """Route the oracle's _thresholds through replace(tally, pairs), with the tally chsh_statistic last saw."""
+        seen = []
+
+        def summarized(tally):
+            seen.append(tally)
+            return chsh_statistic(tally)
+
+        def thresholds(n_total, num, den):
+            return replace(seen[-1], _thresholds(n_total, num, den))
+
+        monkeypatch.setattr(bellkit.oracle, "chsh_statistic", summarized)
+        monkeypatch.setattr(bellkit.oracle, "_thresholds", thresholds)
+
+    @pytest.mark.parametrize("q", [2, 5])
+    def test_thresholds_are_the_printed_ones(self, monkeypatch, q):
+        # the pairs the oracle compares against are the required_skew and
+        # epsilon_floor that bounds_report gives analyze to print
+        compared = []
+
+        def record(tally, pairs):
+            compared.append((tally, pairs))
+            return pairs
+
+        self.patch_thresholds(monkeypatch, record)
+        assert verify_necessary_conditions(q).ok
+        assert compared
+        for tally, (skew_pair, floor_pair) in compared:
+            printed = bounds_report(tally)
+            assert Fraction(*skew_pair) == printed.required_skew
+            assert Fraction(*floor_pair) == printed.epsilon_floor
+
     @pytest.mark.parametrize("threshold, condition, value", [
         ("required_skew", "sigma_gt_NDelta_24", lambda tally: Fraction(10**9)),
         ("epsilon_floor", "eps_gt_Delta_12", lambda tally: Fraction(10**9)),
@@ -101,9 +134,13 @@ class TestVerification:
     ], ids=["required_skew-sigma_gt_NDelta_24", "epsilon_floor-eps_gt_Delta_12",
             "required_skew-at-own-sigma", "epsilon_floor-at-own-epsilon"])
     def test_checks_the_printed_thresholds(self, monkeypatch, threshold, condition, value):
-        # the oracle reads its thresholds from the bounds_report that analyze prints
-        monkeypatch.setattr(bellkit.oracle, "bounds_report", lambda tally: dataclasses.replace(
-            bounds_report(tally), **{threshold: value(tally)}))
+        # the oracle decides each condition on the pairs of the shared _thresholds
+        def replace(tally, pairs):
+            replaced = dict(zip(("required_skew", "epsilon_floor"), pairs))
+            replaced[threshold] = value(tally).as_integer_ratio()
+            return replaced["required_skew"], replaced["epsilon_floor"]
+
+        self.patch_thresholds(monkeypatch, replace)
         tallies = [TallyTable(2, 2, 2, 2, *corr) for corr in enumerate_uniform_tallies(2)]
         violating = [t for t in tallies if chsh_exact(t) > 2]
         assert violating
