@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 from .stats import chsh_numerator, skew
@@ -65,8 +65,7 @@ def as_exact(value) -> Fraction:
         raise DomainError(f"not a number: {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class MarginalDelta:
+class MarginalDelta(NamedTuple):
     """One ordered-pair marginal probability difference.
 
     value is (alpha*n_beta - beta*n_alpha) / (alpha*(alpha+beta)) for cell
@@ -83,8 +82,7 @@ class MarginalDelta:
     physical: bool
 
 
-@dataclass(frozen=True)
-class NoSignallingReport:
+class NoSignallingReport(NamedTuple):
     """All twelve ordered-pair marginal deltas plus the achieved epsilon.
 
     epsilon_achieved is the infimum of tolerances satisfying the strict
@@ -219,8 +217,7 @@ def min_trials(epsilon) -> int:
     return math.floor(2 / eps) + 1
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Necessity thresholds for a tally at a given violation magnitude.
 
     delta is the magnitude the thresholds are computed for (the achieved

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import ClassVar, Iterator
+from typing import Iterator, NamedTuple
 
 from .bounds import _max_strength, _thresholds
 from .errors import DomainError, EnumerationCapError
@@ -47,15 +46,15 @@ CONDITIONS = (
 DEFAULT_CAP = 10**8
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     """Outcome of an exhaustive run: tallies checked and any failures found."""
 
     checked: int
     counterexamples: tuple[tuple[TallyTable, str], ...]
     n_per_setting: int
     elapsed_seconds: float
-    conditions: ClassVar[tuple[str, ...]] = CONDITIONS
+    # not annotated, so a class attribute rather than a field
+    conditions = CONDITIONS
 
     @property
     def ok(self) -> bool:

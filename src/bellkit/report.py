@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .bounds import BoundsReport, NoSignallingReport, as_exact, bounds_report, nosignalling_deltas
@@ -11,8 +11,7 @@ from .stats import Bell1964Result, ChshSummary, chsh_statistic
 from .trials import TallyTable
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything the analyzer derives from one tally, plus provenance."""
 
     tally: TallyTable
@@ -65,8 +64,8 @@ class AnalysisReport:
 
 def _record_dict(record, omit: str = "") -> dict:
     """A record's fields except omit, in declaration order, each Fraction as its exact string."""
-    values = {f.name: getattr(record, f.name) for f in fields(record) if f.name != omit}
-    return {name: str(v) if isinstance(v, Fraction) else v for name, v in values.items()}
+    return {name: str(v) if isinstance(v, Fraction) else v
+            for name, v in record._asdict().items() if name != omit}
 
 
 def build_analysis_report(

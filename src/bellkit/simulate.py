@@ -53,18 +53,15 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .rng import shard_ranges, trial_keys, trial_words, unit_doubles, unit_threshold
-from .trials import SEED_MAX, TallyTable, merge_tallies
-
-Model = Literal["quantum", "lhv"]
-SettingScheme = Literal["uniform_random", "round_robin"]
+from .trials import SEED_MAX, TallyTable, _Checked, merge_tallies
 
 _CHUNK = 1 << 16
 
@@ -90,21 +87,20 @@ def _shown(v: object) -> str:
     return f"{type(v).__name__} {text[:40]}{'...' if len(text) > 40 else ''}"
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Generator model, measurement angles (radians), trial count, seed."""
+class SimulationConfig(_Checked, namedtuple(
+        "SimulationConfig", "model theta_a0 theta_a1 theta_b0 theta_b1 trials seed setting_scheme flip_station2",
+        defaults=(0, "uniform_random", False))):
+    """Generator model, measurement angles (radians), trial count, seed.
 
-    model: Model
-    theta_a0: float
-    theta_a1: float
-    theta_b0: float
-    theta_b1: float
-    trials: int
-    seed: int = 0
-    setting_scheme: SettingScheme = "uniform_random"
-    flip_station2: bool = False
+    model is "quantum" or "lhv", the four angles finite ints or floats,
+    trials a positive int, seed an int in 0..2^64 - 1 (default 0),
+    setting_scheme "uniform_random" (the default) or "round_robin", and
+    flip_station2 a bool (default False).
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def _check(self):
         if self.model not in ("quantum", "lhv"):
             raise ConfigError(f"model must be 'quantum' or 'lhv', got {_shown(self.model)}")
         if self.setting_scheme not in ("uniform_random", "round_robin"):
@@ -133,13 +129,13 @@ class SimulationConfig:
         return (self.theta_b0, self.theta_b1)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationConfig":
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
+        known = set(cls._fields)
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {_shown(sorted(unknown))}")

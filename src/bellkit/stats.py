@@ -13,15 +13,14 @@ to a tally; S' of a tally is sprime_counts(t.corr_counts), its one form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, EmptyCellError
 from .trials import TallyTable, ThreeSettingTally
 
 
-@dataclass(frozen=True)
-class ChshSummary:
+class ChshSummary(NamedTuple):
     """All statistics derived from one tally.
 
     E values and S are floats correctly rounded from the exact rationals;
@@ -112,6 +111,7 @@ def chsh_statistic(t: TallyTable) -> ChshSummary:
     decided on the exact rational value.
     """
     s_exact = chsh_exact(t)
+    p, q = s_exact.numerator, s_exact.denominator
     e_values = [_correlation(n, m) for n, m in zip(t.corr_counts, t.setting_counts)]
     sigma, n_max, n_min = skew(t)
     s_prime, s_prime_max, s_prime_min = sprime_counts(t.corr_counts)
@@ -130,12 +130,12 @@ def chsh_statistic(t: TallyTable) -> ChshSummary:
         s_prime_max=s_prime_max,
         s_prime_min=s_prime_min,
         violated=violated,
-        violation_magnitude=float(s_exact - 2) if violated else 0.0,
+        # float(s_exact - 2) bit for bit, as int / int is correctly rounded
+        violation_magnitude=(p - 2 * q) / q if violated else 0.0,
     )
 
 
-@dataclass(frozen=True)
-class Bell1964Result:
+class Bell1964Result(NamedTuple):
     """Both forms of the three-setting 1964 statistic.
 
     corr_form = E_ac - E_ba - E_bc, bounded by 1 under local realism;

@@ -9,6 +9,12 @@ Both types are valid by construction: a TrialRecord holds exact ints in
 their domains, and a TallyTable never has a correlated count above its
 setting count. Inputs are checked once, when they become these types, and
 nothing downstream checks them again.
+
+Records are named tuples: len, iteration and indexing work, and a record
+equals, and hashes as, the plain tuple of its values. _asdict gives its
+fields as a dict, _replace a copy with some changed, and assigning a
+field raises a plain AttributeError. Every way of building a checked
+record runs its check: the constructor, _make, _replace, copy and pickle.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Literal
 
@@ -54,16 +60,34 @@ def _check_count(label: str, value: object) -> None:
         raise OverflowError(f"count '{label}' exceeds 64-bit count capacity: {value}")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class _Checked:
+    """Base of a named tuple that is valid by construction: _check runs from __new__.
+
+    _make, and so _replace, calls the class, and a copy or an unpickled
+    record is rebuilt by calling it, so no way of building one skips _check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class TrialRecord(_Checked, namedtuple("TrialRecord", _TRIAL_FIELDS)):
     """One experimental trial: setting bits s1, s2 and outcomes o1, o2."""
 
-    s1: int
-    s2: int
-    o1: int
-    o2: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("s1", "s2"):
             v = getattr(self, name)
             if type(v) is not int or v not in (0, 1):
@@ -74,8 +98,7 @@ class TrialRecord:
                 raise DomainError(f"{name} must be +1 or -1, got {v!r}")
 
 
-@dataclass(frozen=True)
-class TallyTable:
+class TallyTable(_Checked, namedtuple("TallyTable", CELL_LABELS + CORR_LABELS, defaults=(0,) * 8)):
     """The eight aggregate counts of a CHSH experiment.
 
     a, b, c, d count trials under settings 00, 01, 10, 11; n00..n11 count
@@ -86,18 +109,11 @@ class TallyTable:
     statistic that divides by a cell count calls require_populated.
     """
 
-    a: int = 0
-    b: int = 0
-    c: int = 0
-    d: int = 0
-    n00: int = 0
-    n01: int = 0
-    n10: int = 0
-    n11: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for label in CELL_LABELS + CORR_LABELS:
-            _check_count(label, getattr(self, label))
+    def _check(self):
+        for label, value in zip(self._fields, self):
+            _check_count(label, value)
         errors = [
             f"{corr}={n} exceeds {cell}={count}"
             for cell, corr, count, n in zip(
@@ -121,21 +137,21 @@ class TallyTable:
 
     @property
     def setting_counts(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return self[:4]
 
     @property
     def corr_counts(self) -> tuple[int, int, int, int]:
-        return (self.n00, self.n01, self.n10, self.n11)
+        return self[4:]
 
     def to_dict(self) -> dict[str, int]:
-        return {label: getattr(self, label) for label in CELL_LABELS + CORR_LABELS}
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "TallyTable":
-        missing = [k for k in CELL_LABELS + CORR_LABELS if k not in data]
+        missing = [k for k in cls._fields if k not in data]
         if missing:
             raise ParseError(f"tally object missing fields: {', '.join(missing)}")
-        return cls(**{k: data[k] for k in CELL_LABELS + CORR_LABELS})
+        return cls._make(data[k] for k in cls._fields)
 
     @classmethod
     def from_bins(cls, bins: list[int]) -> "TallyTable":
@@ -145,27 +161,19 @@ class TallyTable:
         return cls(*(rest + n for rest, n in zip(bins[0::2], corr)), *corr)
 
 
-@dataclass(frozen=True)
-class ThreeSettingTally:
+class ThreeSettingTally(_Checked, namedtuple("ThreeSettingTally", "n_ac n_ba n_bc N_ac N_ba N_bc")):
     """Counts for the three setting pairs of the 1964 two-outcome test.
 
     N_xy is the number of trials under setting pair xy and n_xy the number
     of correlated results among them.
     """
 
-    n_ac: int
-    n_ba: int
-    n_bc: int
-    N_ac: int
-    N_ba: int
-    N_bc: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("n_ac", "n_ba", "n_bc", "N_ac", "N_ba", "N_bc"):
-            _check_count(name, getattr(self, name))
-        for pair in ("ac", "ba", "bc"):
-            n = getattr(self, f"n_{pair}")
-            total = getattr(self, f"N_{pair}")
+    def _check(self):
+        for name, value in zip(self._fields, self):
+            _check_count(name, value)
+        for pair, n, total in zip(("ac", "ba", "bc"), self[:3], self[3:]):
             if n > total:
                 raise InvariantError(f"n_{pair}={n} exceeds N_{pair}={total}")
 
@@ -265,10 +273,14 @@ def read_trials(
 
 
 def tally_from_trials(trials: Iterable[TrialRecord]) -> TallyTable:
-    """Aggregate trials into the eight counts, through TallyTable.from_bins."""
+    """Aggregate trials into the eight counts, through TallyTable.from_bins.
+
+    Equal records are counted together first, so the bin of each of the 16
+    distinct records is found once.
+    """
     bins = [0] * 8
-    for rec in trials:
-        bins[4 * rec.s1 + 2 * rec.s2 + (rec.o1 == rec.o2)] += 1
+    for rec, n in Counter(trials).items():
+        bins[4 * rec.s1 + 2 * rec.s2 + (rec.o1 == rec.o2)] += n
     return TallyTable.from_bins(bins)
 
 
@@ -277,8 +289,7 @@ def merge_tallies(t1: TallyTable, t2: TallyTable) -> TallyTable:
 
     A sum above COUNT_MAX raises OverflowError, as any TallyTable count does.
     """
-    labels = CELL_LABELS + CORR_LABELS
-    return TallyTable(**{label: getattr(t1, label) + getattr(t2, label) for label in labels})
+    return TallyTable(*(x + y for x, y in zip(t1, t2)))
 
 
 def write_atomic(path: str | Path, fill: Callable[[IO[str]], Any]) -> Any:

@@ -1,5 +1,6 @@
 """CLI contracts: flags, report schema, exit codes, file round trips."""
 
+import ast
 import hashlib
 import json
 import os
@@ -549,3 +550,32 @@ class TestTopLevel:
         codes, before, after, same = json.loads(proc.stdout)
         assert codes == [code for _, code in calls]
         assert (before, after, same) == (False, True, True)
+
+    def test_analyze_and_oracle_start_without_dataclasses(self, tmp_path):
+        """Records are named tuples, so neither dataclasses nor the inspect it pulls in loads."""
+        write_tally(tmp_path / "tally.json", TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0))
+        script = (
+            "import contextlib, io, json, sys\n"
+            "probe = ('dataclasses', 'inspect')\n"
+            "preloaded = [m for m in probe if m in sys.modules]\n"
+            "from bellkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['analyze', '--tally', 'tally.json']), main(['oracle', '--n-per-setting', '2'])]\n"
+            "print(json.dumps([codes, [m for m in probe if m in sys.modules and m not in preloaded]]))\n"
+        )
+        src = str(Path(bellkit.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[3, 0], []]
+
+    def test_no_module_imports_dataclasses(self):
+        package = Path(bellkit.__file__).parent
+        imported = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imported.add(node.module)
+        assert "typing" in imported and "dataclasses" not in imported

@@ -147,6 +147,17 @@ class TestFloatsMatchExactRationals:
         expected = float(Fraction(2 * corr_count - trial_count, trial_count))
         assert _correlation(corr_count, trial_count) == expected
 
+    @given(populated_tallies(COUNT_MAX), st.booleans())
+    @example(TallyTable(a=3, b=3, c=3, d=3, n00=3, n01=3, n10=3, n11=3), False)  # S = 2 exactly
+    @example(TallyTable(a=COUNT_MAX, b=COUNT_MAX, c=COUNT_MAX, d=COUNT_MAX - 1,
+                        n00=COUNT_MAX, n01=COUNT_MAX, n10=COUNT_MAX - 1, n11=1), False)
+    def test_violation_magnitude(self, t, full):
+        if full:  # n00 = a, n01 = b, n10 = c: S = 4 - 2*n11/d, above 2 unless n11 = d
+            t = t._replace(n00=t.a, n01=t.b, n10=t.c)
+        summary = chsh_statistic(t)
+        expected = float(summary.s_exact - 2) if summary.s_exact > 2 else 0.0
+        assert summary.violation_magnitude == expected
+
 
 class TestIntegerForms:
     """The integer forms the oracle screens every tally with, against the TallyTable statistics."""

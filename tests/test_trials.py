@@ -1,8 +1,10 @@
 """Trial parsing, tallying, merging, and construction-time validation."""
 
+import copy
 import io
 import json
 import os
+import pickle
 import stat
 import threading
 from unittest import mock
@@ -13,11 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import (
+    ConfigError,
     DomainError,
     EmptyCellError,
     InvariantError,
     ParseError,
+    SimulationConfig,
     TallyTable,
+    ThreeSettingTally,
     TrialRecord,
     load_tally,
     merge_tallies,
@@ -61,6 +66,15 @@ def brute_force_tally(records):
         a=cells[0][0], b=cells[1][0], c=cells[2][0], d=cells[3][0],
         n00=cells[0][1], n01=cells[1][1], n10=cells[2][1], n11=cells[3][1],
     )
+
+
+def per_record_tally(records):
+    """The eight bins counted one record at a time: the reference for
+    tally_from_trials, which counts equal records together first."""
+    bins = [0] * 8
+    for rec in records:
+        bins[4 * rec.s1 + 2 * rec.s2 + (rec.o1 == rec.o2)] += 1
+    return TallyTable.from_bins(bins)
 
 
 class TestTrialRecord:
@@ -253,7 +267,20 @@ class TestTally:
 
     @given(st.lists(trial_records, max_size=200))
     def test_matches_brute_force(self, recs):
-        assert tally_from_trials(recs) == brute_force_tally(recs)
+        assert tally_from_trials(recs) == brute_force_tally(recs) == per_record_tally(recs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trial_files())
+    def test_stream_matches_per_record_loop(self, trial_file):
+        fmt, header, lines = trial_file
+        try:
+            expected = per_record_tally(list(read_trials(lines, format=fmt, header=header)))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as raised:
+                tally_from_trials(read_trials(lines, format=fmt, header=header))
+            assert str(raised.value) == str(exc)
+        else:
+            assert tally_from_trials(read_trials(lines, format=fmt, header=header)) == expected
 
     @given(st.lists(trial_records, max_size=100), st.lists(trial_records, max_size=100))
     def test_concat_merges(self, xs, ys):
@@ -309,6 +336,66 @@ class TestValidate:
         t = TallyTable(a=4, b=0, c=4, d=4, n00=1, n10=1, n11=1)
         with pytest.raises(EmptyCellError, match="'b'"):
             t.require_populated()
+
+
+# A valid record of each checked type, one of its fields, a value the type
+# refuses there, and the error that refusal raises.
+CHECKED_RECORDS = [
+    (TrialRecord(0, 1, -1, 1), "o1", 0, DomainError),
+    (TallyTable(4, 4, 4, 4, 1, 2, 3, 4), "n11", 5, InvariantError),
+    (ThreeSettingTally(1, 2, 3, 4, 5, 6), "N_ba", -1, DomainError),
+    (SimulationConfig("quantum", 0.0, 1.0, 0.5, -0.5, trials=8), "trials", 0, ConfigError),
+]
+
+
+def _forged(record, field, value):
+    """record with field set to value, built past the type's check."""
+    values = list(record)
+    values[record._fields.index(field)] = value
+    return tuple.__new__(type(record), values)
+
+
+@pytest.mark.parametrize(
+    "record, field, value, error", CHECKED_RECORDS, ids=[type(r).__name__ for r, *_ in CHECKED_RECORDS])
+class TestCheckedRecords:
+    """Every way of building a checked record runs its check."""
+
+    def test_construction(self, record, field, value, error):
+        forged = _forged(record, field, value)
+        with pytest.raises(error):
+            type(record)(*forged)
+        with pytest.raises(error):
+            type(record)(**forged._asdict())
+        with pytest.raises(error):
+            type(record)._make(forged)
+        with pytest.raises(error):
+            record._replace(**{field: value})
+
+    def test_copy_and_pickle(self, record, field, value, error):
+        forged = _forged(record, field, value)
+        for rebuild in [copy.copy, copy.deepcopy] + [
+            lambda r, p=protocol: pickle.loads(pickle.dumps(r, p))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]:
+            with pytest.raises(error):
+                rebuild(forged)
+            rebuilt = rebuild(record)
+            assert rebuilt == record and type(rebuilt) is type(record)
+
+    def test_fields_cannot_be_assigned(self, record, field, value, error):
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_tuple_identity(self, record, field, value, error):
+        assert record == tuple(record) and hash(record) == hash(tuple(record))
+        assert record._asdict() == dict(zip(record._fields, record))
+
+
+def test_tally_repr():
+    t = TallyTable(1, 2, 3, 4, 0, 1, 2, 3)
+    assert repr(t) == "TallyTable(a=1, b=2, c=3, d=4, n00=0, n01=1, n10=2, n11=3)"
 
 
 class TestTallyFile:
