@@ -8,20 +8,18 @@ exits 2 before any work. Each cmd_* returns (payload, exit code) or
 raises; only main prints, and it maps each error to its exit code.
 
 Only simulation needs numpy, so simulate is imported inside the functions
-that simulate: analyze and oracle start without numpy.
+that simulate: analyze and oracle start without numpy. Likewise only
+analyze imports hashlib.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import io
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, Iterator
 
 from . import __version__
 from .bounds import as_exact
@@ -101,14 +99,14 @@ def _bell1964_flag(text: str) -> Bell1964Result:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str, note: str = "") -> int:
-    """An argparse type: an integer of at least 1; note is added to its error."""
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1{note}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
@@ -147,9 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=Path, required=True, help="tally JSON output path")
     sim.add_argument("--emit-trials", type=Path, help="also stream trials to this path")
     sim.add_argument("--emit-format", choices=["jsonl", "csv"], default="jsonl")
-    sim.add_argument("--shards", default=os.environ.get("BELLKIT_THREADS") or "1",
-                     type=lambda text: _positive_int(text, " (its default is BELLKIT_THREADS)"),
-                     help="worker shard count (default: BELLKIT_THREADS or 1)")
+    sim.add_argument("--shards", type=_positive_int, default=1,
+                     help="worker shard count (default: 1)")
     sim.set_defaults(func=cmd_simulate)
 
     ana = sub.add_parser("analyze", help="Full statistical report for a tally or trial file")
@@ -220,39 +217,34 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     return summary, EXIT_OK
 
 
-class _HashingReader(io.RawIOBase):
-    """A binary file that feeds every byte read from it to a SHA-256 digest."""
-
-    def __init__(self, file: io.FileIO):
-        self._file = file
-        self.sha256 = hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._file.readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:n])
-        return n
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
+def _hashed_lines(text: IO[str], sha256) -> Iterator[str]:
+    """The lines of text, read in bounded batches; sha256 takes each batch's UTF-8 bytes."""
+    while batch := text.readlines(1 << 16):
+        sha256.update("".join(batch).encode("utf-8"))
+        yield from batch
 
 
 def _load_input_tally(args: argparse.Namespace) -> tuple[TallyTable, Path, str, int | None]:
-    """The input's tally, path, SHA-256 and recorded seed, from one read of its bytes."""
+    """The input's tally, path, SHA-256 and recorded seed, from one read of its bytes.
+
+    Both readers read every line. Strict UTF-8 without newline translation
+    decodes one-to-one, so the hash of the parsed text's encoding is the
+    hash of the file's bytes.
+    """
+    import hashlib
+
     path = args.tally if args.tally is not None else args.trials
-    raw = _HashingReader(open(path, "rb", buffering=0))
+    sha256 = hashlib.sha256()
     seed = None
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as text:
+    with open(path, encoding="utf-8", newline="") as text:
+        lines = _hashed_lines(text, sha256)
         if args.tally is not None:
-            tally, extras = load_tally(text)
+            tally, extras = load_tally(lines)
             seed = extras.get("seed")
         else:
-            tally = tally_from_trials(read_trials(text, format=args.format, header=args.header))
+            tally = tally_from_trials(read_trials(lines, format=args.format, header=args.header))
     valid_seed = type(seed) is int and 0 <= seed <= SEED_MAX
-    return tally, path, raw.sha256.hexdigest(), seed if valid_seed else None
+    return tally, path, sha256.hexdigest(), seed if valid_seed else None
 
 
 def cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:

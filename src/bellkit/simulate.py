@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -336,6 +335,8 @@ def run_experiment(cfg: SimulationConfig, shards: int = 1) -> ExperimentRun:
     if len(ranges) == 1:
         tally = tally_for_range(cfg, *ranges[0])
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only here: a one-range run skips it
+
         workers = min(len(ranges), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda r: tally_for_range(cfg, *r), ranges))

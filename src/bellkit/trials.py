@@ -333,8 +333,8 @@ def write_tally(path: str | Path, t: TallyTable, seed: int | None = None) -> Non
     write_atomic(path, lambda handle: handle.write(json.dumps(payload, indent=2) + "\n"))
 
 
-def load_tally(path: str | Path | IO[str]) -> tuple[TallyTable, dict]:
-    """Load a tally JSON file or text handle; returns (tally, extra keys such as seed).
+def load_tally(path: str | Path | Iterable[str]) -> tuple[TallyTable, dict]:
+    """Load a tally JSON file, or its text as a handle or lines; returns (tally, extras such as seed).
 
     The eight count fields are required integers; unknown keys are
     surfaced in the extras dict rather than rejected. Anything that is not
@@ -343,7 +343,7 @@ def load_tally(path: str | Path | IO[str]) -> tuple[TallyTable, dict]:
     if isinstance(path, (str, Path)):
         text = Path(path).read_text(encoding="utf-8")
     else:
-        text = path.read()
+        text = "".join(path)
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -36,10 +36,10 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_module(argv, env=None, timeout=60):
+def run_module(argv, timeout=60):
     """Run `python -m bellkit.cli argv` in a child process with this checkout's bellkit."""
     src = str(Path(bellkit.__file__).resolve().parents[1])
-    child_env = {**os.environ, **(env or {}),
+    child_env = {**os.environ,
                  "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "bellkit.cli", *argv],
                           env=child_env, capture_output=True, text=True, timeout=timeout)
@@ -137,19 +137,10 @@ class TestSimulate:
         assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else [target.name])
         assert before is None or target.read_bytes() == before
 
-    @pytest.mark.parametrize("threads", ["", "3"])
-    def test_bellkit_threads_is_the_shards_default(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setenv("BELLKIT_THREADS", threads)
+    def test_shards_defaults_to_one(self, tmp_path):
         parsed = bellkit.cli.build_parser().parse_args(
             ["simulate", "--model", "lhv", "--trials", "8", "--out", str(tmp_path / "t.json")])
-        assert parsed.shards == int(threads or "1")
-
-    def test_bad_bellkit_threads_names_both_sources(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BELLKIT_THREADS", "many")
-        code, _, err = run_cli(
-            capsys, "simulate", "--model", "lhv", "--trials", "8", "--out", str(tmp_path / "t.json"))
-        assert code == 2
-        assert "--shards" in err and "BELLKIT_THREADS" in err
+        assert parsed.shards == 1
 
     def test_more_shards_than_trials_is_quick(self, tmp_path):
         # one partition per shard would take hours to list
@@ -322,23 +313,30 @@ class TestAnalyze:
         assert bell["fraction_form"] == pytest.approx(0.55)
         assert bell["violated"] is True
 
-    @pytest.mark.parametrize("name, argv", [
-        ("trials.jsonl", ["--trials"]),
-        ("trials.csv", ["--format", "csv", "--header", "--trials"]),
-        ("tally.json", ["--tally"]),
-    ], ids=["jsonl", "csv-crlf-header", "tally"])
-    def test_input_sha256_is_of_the_parsed_bytes(self, capsys, tmp_path, name, argv):
-        # 4,000 trials: the trial files span several read blocks
-        records = [TrialRecord(i % 4 // 2, i % 2, 1, 1 - 2 * (i % 3 == 0)) for i in range(4000)]
+    @pytest.mark.parametrize("name, argv, newline, trials", [
+        ("trials.jsonl", ["--trials"], "\r\n", 4000),
+        ("trials.csv", ["--format", "csv", "--header", "--trials"], "\r\n", 4000),
+        ("tally.json", ["--tally"], "\n", 4000),
+        ("trials.jsonl", ["--trials"], "\r", 4000),
+        ("tally.json", ["--tally"], "\r\n", 4000),
+        ("trials.jsonl", ["--trials"], "\r\n", 8000),
+    ], ids=["jsonl", "csv-crlf-header", "tally", "jsonl-cr", "tally-crlf", "jsonl-crlf-batches"])
+    def test_input_sha256_is_of_the_parsed_bytes(self, capsys, tmp_path, name, argv, newline, trials):
+        # the text is read without newline translation, so a translated \r or \r\n would
+        # change the hash
+        records = [TrialRecord(i % 4 // 2, i % 2, 1, 1 - 2 * (i % 3 == 0)) for i in range(trials)]
         tally = tally_from_trials(records)
         path = tmp_path / name
         if name.endswith(".json"):
             write_tally(path, tally, seed=5)
+            path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
         else:
             fmt = name.rsplit(".", 1)[1]
             lines = [serialize_trial_line(rec, format=fmt) for rec in records]
             header = ["s1,s2,o1,o2"] if fmt == "csv" else []
-            path.write_bytes("\r\n".join(header + lines + [""]).encode("utf-8"))
+            path.write_bytes(newline.join(header + lines + [""]).encode("utf-8"))
+        if trials == 8000:  # the lines are hashed one 64 KiB batch at a time
+            assert path.stat().st_size > 3 * 2**16
         code, stdout, _ = run_cli(capsys, "analyze", *argv, str(path))
         assert code == 0
         report = json.loads(stdout)
@@ -384,56 +382,52 @@ INPUTS = {
 SIMULATE = ["simulate", "--out", "{out}", "--config"]
 
 
-@pytest.mark.parametrize("argv, env, expected", [
-    (["analyze", "--tally", "{tally}", "--epsilon", "0"], {}, 2),
-    (["analyze", "--tally", "{tally}", "--delta", "-1"], {}, 2),
-    (["analyze", "--trials", "{bad}"], {}, 1),
-    (["analyze", "--tally", "{bad}"], {}, 1),
-    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}"],
-     {"BELLKIT_THREADS": "many"}, 2),
-    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}"],
-     {"BELLKIT_THREADS": "0"}, 2),
-    (["analyze", "--trials", "{huge_trial}"], {}, 1),
-    (["analyze", "--tally", "{huge_tally}"], {}, 1),
-    (SIMULATE + ["{huge_seed}"], {}, 2),
-    (SIMULATE + ["{bad}"], {}, 2),
-    (SIMULATE + ["{flip_string}"], {}, 2),
-    (SIMULATE + ["{angle_bool}"], {}, 2),
-    (SIMULATE + ["{angle_huge_int}"], {}, 2),
-    (SIMULATE + ["{seed_huge_int}"], {}, 2),
-    (SIMULATE + ["{scheme_long}"], {}, 2),
-    (SIMULATE + ["{angle_difference}"], {}, 2),
+@pytest.mark.parametrize("argv, expected", [
+    (["analyze", "--tally", "{tally}", "--epsilon", "0"], 2),
+    (["analyze", "--tally", "{tally}", "--delta", "-1"], 2),
+    (["analyze", "--trials", "{bad}"], 1),
+    (["analyze", "--tally", "{bad}"], 1),
+    (["analyze", "--trials", "{huge_trial}"], 1),
+    (["analyze", "--tally", "{huge_tally}"], 1),
+    (SIMULATE + ["{huge_seed}"], 2),
+    (SIMULATE + ["{bad}"], 2),
+    (SIMULATE + ["{flip_string}"], 2),
+    (SIMULATE + ["{angle_bool}"], 2),
+    (SIMULATE + ["{angle_huge_int}"], 2),
+    (SIMULATE + ["{seed_huge_int}"], 2),
+    (SIMULATE + ["{scheme_long}"], 2),
+    (SIMULATE + ["{angle_difference}"], 2),
     (["simulate", "--model", "quantum", "--angles", "1e308,0,-1e308,0", "--trials", "8",
-      "--out", "{out}"], {}, 2),
+      "--out", "{out}"], 2),
     (["simulate", "--model", "lhv", "--angles", "1e308,0,-1e308,0", "--trials", "8",
-      "--out", "{out}"], {}, 2),
-    (["analyze", "--tally", "{tally}", "--bell1964", "5,3,1,2,1,2"], {}, 2),
-    (["analyze", "--tally", "{tally}", "--bell1964", "1,0,1,2,1,2"], {}, 2),
-    (["analyze", "--tally", "{tally}", "--bell1964=-1,3,1,2,1,2"], {}, 2),
-    (["analyze", "--tally", "{tally}", "--bell1964", "1,99999999999999999999999,1,2,1,2"], {}, 2),
-    (["analyze", "--tally", "{tally}", "--delta", "1e400"], {}, 2),
-    (["analyze", "--tally", "{tally}", "--epsilon", "1e400"], {}, 2),
-    (["analyze", "--tally", "{tally}", "--epsilon", "1e-5000"], {}, 2),
-    (["analyze", "--tally", "{tally}", "--delta", "1e-5000"], {}, 2),
-    (["analyze", "--tally", "{tally}", "--epsilon", "1e99999999"], {}, 2),
-    (["analyze", "--tally", "{tally}", "--delta", "0." + "1" * 5000], {}, 2),
-    (["analyze", "--tally", "{deep}"], {}, 1),
-    (["analyze", "--trials", "{deep}"], {}, 1),
-    (SIMULATE + ["{deep}"], {}, 2),
-    (["oracle", "--n-per-setting", "9" * 1200], {}, 2),
-    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{missing}/out.json"], {}, 1),
+      "--out", "{out}"], 2),
+    (["analyze", "--tally", "{tally}", "--bell1964", "5,3,1,2,1,2"], 2),
+    (["analyze", "--tally", "{tally}", "--bell1964", "1,0,1,2,1,2"], 2),
+    (["analyze", "--tally", "{tally}", "--bell1964=-1,3,1,2,1,2"], 2),
+    (["analyze", "--tally", "{tally}", "--bell1964", "1,99999999999999999999999,1,2,1,2"], 2),
+    (["analyze", "--tally", "{tally}", "--delta", "1e400"], 2),
+    (["analyze", "--tally", "{tally}", "--epsilon", "1e400"], 2),
+    (["analyze", "--tally", "{tally}", "--epsilon", "1e-5000"], 2),
+    (["analyze", "--tally", "{tally}", "--delta", "1e-5000"], 2),
+    (["analyze", "--tally", "{tally}", "--epsilon", "1e99999999"], 2),
+    (["analyze", "--tally", "{tally}", "--delta", "0." + "1" * 5000], 2),
+    (["analyze", "--tally", "{deep}"], 1),
+    (["analyze", "--trials", "{deep}"], 1),
+    (SIMULATE + ["{deep}"], 2),
+    (["oracle", "--n-per-setting", "9" * 1200], 2),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{missing}/out.json"], 1),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
-      "--emit-trials", "{missing}/trials.jsonl"], {}, 1),
-    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}", "--seed", "-1"], {}, "--seed"),
+      "--emit-trials", "{missing}/trials.jsonl"], 1),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}", "--seed", "-1"], "--seed"),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
-      "--seed", str(2**64)], {}, "--seed"),
-    (["simulate", "--model", "lhv", "--trials", "0", "--out", "{out}"], {}, "--trials"),
-    (["oracle", "--n-per-setting", "2", "--cap", "0"], {}, "--cap"),
+      "--seed", str(2**64)], "--seed"),
+    (["simulate", "--model", "lhv", "--trials", "0", "--out", "{out}"], "--trials"),
+    (["oracle", "--n-per-setting", "2", "--cap", "0"], "--cap"),
     # accepted by as_exact, but Delta/12 or N*Delta/24 would pass 4300 digits in the report
-    (["analyze", "--tally", "{tally}", "--delta", "0." + "1" * 4299 + "3"], {}, "--delta"),
-    (["analyze", "--tally", "{tally}", "--delta", "1" * 4300 + "/2" + "0" * 4299], {}, "--delta"),
+    (["analyze", "--tally", "{tally}", "--delta", "0." + "1" * 4299 + "3"], "--delta"),
+    (["analyze", "--tally", "{tally}", "--delta", "1" * 4300 + "/2" + "0" * 4299], "--delta"),
 ], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
-        "threads-not-integer", "threads-zero", "trials-huge-int", "tally-huge-count",
+        "trials-huge-int", "tally-huge-count",
         "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool",
         "config-angle-huge-int", "config-seed-huge-int", "config-scheme-long",
         "config-angle-difference", "angles-difference-quantum", "angles-difference-lhv",
@@ -444,7 +438,7 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
         "config-deep-json", "oracle-huge-k", "out-missing-dir", "emit-missing-dir",
         "seed-negative", "seed-above-64-bit", "trials-zero", "cap-zero",
         "delta-4300-digits", "delta-4300-digit-numerator"])
-def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
+def test_exit_code_contract_without_traceback(tmp_path, argv, expected):
     """expected is an exit code, or the flag that argparse must reject (exit 2)."""
     tally = tmp_path / "tally.json"
     write_tally(tally, TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2))
@@ -452,7 +446,7 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, env, expected):
     for name, data in INPUTS.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_bytes(data)
-    proc = run_module([arg.format(**paths) for arg in argv], env)
+    proc = run_module([arg.format(**paths) for arg in argv])
     rejected_flag = expected if isinstance(expected, str) else None
     assert proc.returncode == (2 if rejected_flag else expected), proc.stderr
     assert "Traceback" not in proc.stderr
@@ -551,23 +545,31 @@ class TestTopLevel:
         assert codes == [code for _, code in calls]
         assert (before, after, same) == (False, True, True)
 
-    def test_analyze_and_oracle_start_without_dataclasses(self, tmp_path):
-        """Records are named tuples, so neither dataclasses nor the inspect it pulls in loads."""
+    @pytest.mark.parametrize("argv, code, unloaded", [
+        (["analyze", "--tally", "tally.json"], 3, ["dataclasses", "inspect"]),
+        (["oracle", "--n-per-setting", "2"], 0, ["dataclasses", "inspect", "hashlib"]),
+        (["simulate", "--model", "lhv", "--trials", "8", "--out", "out.json"], 0,
+         ["hashlib", "concurrent.futures"]),
+    ], ids=["analyze", "oracle", "simulate"])
+    def test_command_starts_without_unused_modules(self, tmp_path, argv, code, unloaded):
+        """Records are named tuples, so no command loads dataclasses or the inspect it pulls
+        in; only analyze loads hashlib, and only a run of two or more shards its thread pool."""
         write_tally(tmp_path / "tally.json", TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0))
         script = (
             "import contextlib, io, json, sys\n"
-            "probe = ('dataclasses', 'inspect')\n"
+            "argv, probe = json.loads(sys.argv[1])\n"
             "preloaded = [m for m in probe if m in sys.modules]\n"
             "from bellkit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [main(['analyze', '--tally', 'tally.json']), main(['oracle', '--n-per-setting', '2'])]\n"
-            "print(json.dumps([codes, [m for m in probe if m in sys.modules and m not in preloaded]]))\n"
+            "    code = main(argv)\n"
+            "print(json.dumps([code, [m for m in probe if m in sys.modules and m not in preloaded]]))\n"
         )
         src = str(Path(bellkit.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps([argv, unloaded])],
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[3, 0], []]
+        assert json.loads(proc.stdout) == [code, []]
 
     def test_no_module_imports_dataclasses(self):
         package = Path(bellkit.__file__).parent

@@ -10,11 +10,9 @@ ranges (trials <= 10^4, shards <= 8, K <= 6), so every example is quick.
 import contextlib
 import io
 import json
-import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -34,14 +32,10 @@ SPECIAL_NUMBERS = [
 ]
 
 
-def run(command: str, argv: list[str], threads: str | None = None) -> None:
+def run(command: str, argv: list[str]) -> None:
     """Run main(argv) and check the exit-code contract for command."""
-    env = {k: v for k, v in os.environ.items() if k != "BELLKIT_THREADS"}
-    if threads is not None:
-        env["BELLKIT_THREADS"] = threads
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, env, clear=True), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     event(f"exit {code}")
     assert code in CODES[command], (argv, err.getvalue())
@@ -181,12 +175,11 @@ def test_analyze_trials(file, flags, fmt, header):
     seed=st.integers(0, 2**64 - 1),
     round_robin=rarely,
     shards=st.none() | fuzzed(st.integers(1, 8).map(str), flag_text(8)),
-    threads=st.none() | fuzzed(st.integers(1, 8).map(str), flag_text(8)).filter(lambda t: "\0" not in t),
     emit=st.sampled_from([None, "jsonl", "csv"]),
     missing_dir=rarely,
     angles=st.none() | angle_text,
 )
-def test_simulate(model, trials, seed, round_robin, shards, threads, emit, missing_dir, angles):
+def test_simulate(model, trials, seed, round_robin, shards, emit, missing_dir, angles):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / ("missing" if missing_dir else "") / "t.json"
         argv = ["simulate", f"--model={model}", "--trials", str(trials), "--seed", str(seed),
@@ -195,7 +188,7 @@ def test_simulate(model, trials, seed, round_robin, shards, threads, emit, missi
         argv += [f"--shards={shards}"] if shards is not None else []
         argv += [f"--angles={angles}"] if angles is not None else []
         argv += ["--emit-trials", str(Path(tmp) / "trials"), "--emit-format", emit] if emit else []
-        run("simulate", argv, threads)
+        run("simulate", argv)
 
 
 @settings(max_examples=30, deadline=None)

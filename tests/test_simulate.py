@@ -11,6 +11,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -151,6 +152,59 @@ def test_correlations_calibrated_across_seeds(model, scheme, flip):
             assert abs(2 * n / m - 1 - e) <= 5 * math.sqrt((1 - e * e) / m), (seed, key)
 
 
+def pooled_cell_statistics(cells, shift=0.0):
+    """chi^2 and the largest |z| of (n, correlated, p) cells against Binomial(n, p).
+
+    A nonzero shift moves each p that far toward 1/2 first.
+    """
+    chi2, z_max = 0.0, 0.0
+    for n, x, p in cells:
+        p += shift if p < 0.5 else -shift
+        z = (x - n * p) / math.sqrt(n * p * (1 - p))
+        chi2 += z * z
+        z_max = max(z_max, abs(z))
+    return chi2, z_max
+
+
+def test_pooled_chi_square_against_analytic_correlations():
+    """The 256 cells of 64 seeded random configs, 2^21 trials each, against p = (1 + E)/2.
+
+    The configs cover both models, both setting schemes and both flips, with
+    angles drawn from [-4, 4]. Each cell's correlated count is
+    Binomial(n, p) given its trial count n, so sum z^2 is chi^2 on 256
+    degrees of freedom. The test fails with probability about 10^-6 per
+    statistic: chi^2 above its 1 - 10^-6 quantile (about 378, by the
+    Wilson-Hilferty cube-root approximation), or any |z| above the two-sided
+    Bonferroni bound for 256 cells at 10^-6 (about 5.89).
+
+    Smallest bias detected: a shift delta in every cell's p adds
+    sum n delta^2 / (p(1 - p)) >= 4 * 2^21 * 64 * delta^2 = 2^29 delta^2 to the
+    mean of chi^2 (256). delta = 5*10^-4 adds at least 134, which reaches the
+    quantile; delta = 10^-3 adds at least 537, about eight standard deviations
+    past it. The 5-sigma per-cell checks above miss a bias below ~8*10^-3.
+    The last assertion feeds the same statistic p shifted by 10^-3.
+    """
+    rng = random.Random(16)
+    cells = []
+    for i in range(64):
+        cfg = make_config(model=("quantum", "lhv")[i % 2], angles=[rng.uniform(-4, 4) for _ in range(4)],
+                          trials=2**21, seed=rng.getrandbits(64),
+                          setting_scheme=("uniform_random", "round_robin")[i // 2 % 2],
+                          flip_station2=bool(i // 4 % 2))
+        tally = run_experiment(cfg).tally
+        for key, (x, n) in enumerate(zip(tally.corr_counts, tally.setting_counts)):
+            cells.append((n, x, (1 + analytic_correlation(cfg, key >> 1, key & 1)) / 2))
+    k, alpha = len(cells), 1e-6
+    unit = NormalDist()
+    h = 2 / (9 * k)
+    chi2_limit = k * (1 - h + unit.inv_cdf(1 - alpha) * math.sqrt(h)) ** 3
+    z_limit = unit.inv_cdf(1 - alpha / (2 * k))
+    chi2, z_max = pooled_cell_statistics(cells)
+    assert chi2 < chi2_limit, (chi2, chi2_limit)
+    assert z_max < z_limit, (z_max, z_limit)
+    assert pooled_cell_statistics(cells, shift=1e-3)[0] > chi2_limit
+
+
 def test_paper_bounds_hold_exactly_on_simulated_tallies():
     """sigma_r >= Delta/2 and the achieved epsilon >= Delta/4 on every violating simulated tally.
 
@@ -269,7 +323,7 @@ class TestDeterminism:
 
         cfg = make_config(trials=10_001, seed=5)
         expected = run_experiment(cfg).tally
-        monkeypatch.setattr("bellkit.simulate.ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr("bellkit.simulate.os.cpu_count", lambda: cores)
         assert run_experiment(cfg, shards=7).tally == expected
         assert seen == [workers]

@@ -407,6 +407,7 @@ class TestTallyFile:
         assert loaded == t
         assert extras == {"seed": 42}
         assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+        assert load_tally(path.read_text().splitlines(keepends=True)) == (t, {"seed": 42})
 
     @pytest.mark.parametrize("before", [None, "old\n"], ids=["absent", "present"])
     def test_failed_write_leaves_the_target_as_it_was(self, tmp_path, before):
