@@ -31,6 +31,7 @@ from .trials import (
     SEED_MAX,
     TallyTable,
     ThreeSettingTally,
+    atomic_target,
     load_tally,
     read_trials,
     tally_from_trials,
@@ -202,6 +203,10 @@ def _assemble_config(args: argparse.Namespace) -> SimulationConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
+    # the tally would replace the trials if both writes replace one file
+    target = None if args.emit_trials is None else atomic_target(args.emit_trials)
+    if target is not None and target == atomic_target(args.out):
+        raise ConfigError(f"--out and --emit-trials name the same file: {args.emit_trials}")
     from .simulate import run_experiment, tally_for_range
 
     cfg = _assemble_config(args)

@@ -303,20 +303,15 @@ def tally_for_range(
     _check_range(cfg, start, stop)
     # bin 2k + 1 counts the correlated trials of setting pair k, bin 2k the rest
     counts = np.zeros(8, dtype=np.int64)
-    # Without a hook one set of buffers serves every chunk. With one, each
-    # chunk gets its own, freed before write runs, so they do not add to
-    # the writer's memory peak.
-    work = _work(min(_CHUNK, stop - start)) if write is None else None
+    work = _work(min(_CHUNK, stop - start))
     for lo in range(start, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
-        k, correlated, o1 = _chunk(cfg, lo, hi, write is not None, work or _work(hi - lo))
-        trials = _arrays(k, correlated, o1) if write is not None else ()
+        k, correlated, o1 = _chunk(cfg, lo, hi, write is not None, work)
+        if write is not None:
+            write(*_arrays(k, correlated, o1))
         k <<= 1
         k += correlated
         counts += np.bincount(k, minlength=8)
-        del k
-        if write is not None:
-            write(*trials)
     return TallyTable.from_bins(counts.tolist())
 
 

@@ -49,6 +49,8 @@ _LINE_TEMPLATES = {
 
 # Distinct lines whose records read_trials keeps, per call: a bound on its memory.
 _PARSED_MAX = 1024
+# Lines trial_chunk_writer renders per handle.write: a bound on the text it holds.
+_SLICE_LINES = 1 << 13
 
 
 def _check_count(label: str, value: object) -> None:
@@ -231,7 +233,8 @@ def trial_chunk_writer(handle: IO[str], format: TrialFormat = "jsonl"):
 
     The four arguments are equal-length integer arrays (a chunk of trials
     in index order); each line is the serialize_trial_line rendering, one
-    of 16 rendered once and looked up at 8*s1 + 4*s2 + 2*(o1 > 0) + (o2 > 0).
+    of 16 rendered once and looked up at 8*s1 + 4*s2 + (o1 + 1) + (o2 > 0),
+    which keeps int8 arrays int8.
     """
     lines = [
         serialize_trial_line(TrialRecord(s1, s2, o1, o2), format) + "\n"
@@ -239,8 +242,9 @@ def trial_chunk_writer(handle: IO[str], format: TrialFormat = "jsonl"):
     ]
 
     def write(s1, s2, o1, o2) -> None:
-        index = 8 * s1 + 4 * s2 + 2 * (o1 > 0) + (o2 > 0)
-        handle.write("".join([lines[i] for i in index.tolist()]))
+        index = 8 * s1 + 4 * s2 + (o1 + 1) + (o2 > 0)
+        for lo in range(0, len(index), _SLICE_LINES):
+            handle.write("".join([lines[i] for i in index[lo : lo + _SLICE_LINES].tolist()]))
 
     return write
 
@@ -292,19 +296,30 @@ def merge_tallies(t1: TallyTable, t2: TallyTable) -> TallyTable:
     return TallyTable(*(x + y for x, y in zip(t1, t2)))
 
 
+def atomic_target(path: str | Path) -> Path | None:
+    """The file write_atomic(path, ...) replaces, or None if it writes path in place.
+
+    A path that exists and is not a regular file (a pipe, /dev/null) is
+    written in place; any other replaces its resolved target.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        return None
+    return Path(os.path.realpath(path))
+
+
 def write_atomic(path: str | Path, fill: Callable[[IO[str]], Any]) -> Any:
     """Return fill(handle) once it has written the text file at path, all or nothing.
 
-    fill writes a temporary file beside path's target, which takes the
-    target's permissions and then replaces it through os.replace; on any
-    error the temporary file is removed and path is left as it was. A path
-    that exists and is not a regular file (a pipe, /dev/null) is written in
-    place. An OSError about the temporary file names path instead.
+    fill writes a temporary file beside atomic_target(path), which takes
+    the target's permissions and then replaces it through os.replace; on
+    any error the temporary file is removed and path is left as it was.
+    Where atomic_target(path) is None, path is written in place. An OSError
+    about the temporary file names path instead.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
+    target = atomic_target(path)
+    if target is None:
         with open(path, "w", encoding="utf-8") as handle:
             return fill(handle)
-    target = Path(os.path.realpath(path))
     temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8") as handle:

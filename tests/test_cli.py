@@ -418,6 +418,10 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{missing}/out.json"], 1),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
       "--emit-trials", "{missing}/trials.jsonl"], 1),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}", "--emit-trials", "{out}"], 2),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}", "--emit-trials", "{link}"], 2),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "/dev/null",
+      "--emit-trials", "/dev/null"], 0),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}", "--seed", "-1"], "--seed"),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
       "--seed", str(2**64)], "--seed"),
@@ -436,13 +440,16 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
         "delta-underflows-float", "epsilon-huge-exponent", "delta-5000-digits",
         "tally-deep-json", "trials-deep-json",
         "config-deep-json", "oracle-huge-k", "out-missing-dir", "emit-missing-dir",
+        "emit-is-out", "emit-links-to-out", "emit-and-out-dev-null",
         "seed-negative", "seed-above-64-bit", "trials-zero", "cap-zero",
         "delta-4300-digits", "delta-4300-digit-numerator"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, expected):
     """expected is an exit code, or the flag that argparse must reject (exit 2)."""
     tally = tmp_path / "tally.json"
     write_tally(tally, TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2))
-    paths = {"tally": tally, "out": tmp_path / "out.json", "missing": tmp_path / "missing"}
+    paths = {"tally": tally, "out": tmp_path / "out.json", "missing": tmp_path / "missing",
+             "link": tmp_path / "link.json"}
+    paths["link"].symlink_to(paths["out"])
     for name, data in INPUTS.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_bytes(data)
@@ -450,6 +457,8 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, expected):
     rejected_flag = expected if isinstance(expected, str) else None
     assert proc.returncode == (2 if rejected_flag else expected), proc.stderr
     assert "Traceback" not in proc.stderr
+    if expected == 0:
+        return
     assert "error" in proc.stderr
     assert proc.stdout == ""
     if rejected_flag:

@@ -233,6 +233,26 @@ def test_paper_bounds_hold_exactly_on_simulated_tallies():
     assert violating >= 10
 
 
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5, 10**6])
+def test_epsilon_tends_to_its_maximal_violation_value(n):
+    """At the maximal-violation angles the achieved epsilon tends to sqrt(2)/4 as 1/sqrt(N).
+
+    There every rate but r11's is (2 + sqrt(2))/4 and r11 is (2 - sqrt(2))/4,
+    so the strongest pair has strength sqrt(2)/4 ~ 0.354, far above the
+    paper's floor Delta/12 ~ 0.069. Calibration on other seeds (3,000 each
+    at N = 10^3 and 10^4, 200 each at every N here): sqrt(N) * (epsilon -
+    sqrt(2)/4) had mean 0.78 and standard deviation 0.53 at every N, and
+    lay in [-1.09, 2.70]. The tolerance 4/sqrt(N) is over 6 standard
+    deviations from that mean on either side.
+    """
+    rng = random.Random(16)
+    for _ in range(20):
+        t = run_experiment(make_config(trials=n, seed=rng.getrandbits(64))).tally
+        epsilon = epsilon_achieved(t.setting_counts, t.corr_counts)
+        assert abs(epsilon - math.sqrt(2) / 4) < 4 / math.sqrt(n), (n, float(epsilon))
+        assert epsilon > (chsh_exact(t) - 2) / 12
+
+
 class TestLhvSampler:
     def test_sawtooth_correlation(self):
         # analytic E = 1 - 2|dtheta|/pi on [0, pi]
@@ -516,9 +536,21 @@ class TestKernel:
         )
         chunks = []
         hooked = tally_for_range(cfg, start, stop, write=lambda *arrays: chunks.append(arrays))
+        # checked after the loop: every chunk reuses one set of kernel buffers,
+        # so a chunk's arrays must not alias them
+        edges = [*range(start, stop, 2**16), stop]
+        assert len(chunks) == len(edges) - 1
+        for lo, hi, chunk in zip(edges, edges[1:], chunks):
+            for got, want in zip(chunk, trial_arrays(cfg, lo, hi)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
         emitted = [np.concatenate(parts) for parts in zip(*chunks)]
-        for got, want in zip(emitted, trial_arrays(cfg, start, stop)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # chunking is invisible: the chunks match the range in one piece, and in
+        # two pieces split off the chunk grid and off the round-robin period
+        mid = start + 2**16 + 3
+        halves = zip(trial_arrays(cfg, start, mid), trial_arrays(cfg, mid, stop))
+        for whole in (trial_arrays(cfg, start, stop), map(np.concatenate, halves)):
+            for got, want in zip(emitted, whole):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
         s1, s2, o1, o2 = (a.astype(np.int64) for a in emitted)
         k = 2 * s1 + s2
         counted = (

@@ -47,7 +47,6 @@ REPLACEMENTS = (
 # Survivors that no test can kill, keyed by module, the mutated source text
 # and the part of it replaced.
 ALLOWED = {
-    ("trials", "o1 > 0", ">"): "outcomes are +1 or -1, so o1 > 0 and o1 >= 0 agree",
     ("trials", "o2 > 0", ">"): "outcomes are +1 or -1, so o2 > 0 and o2 >= 0 agree",
     ("simulate", "np.cos(phase, out=phase) >= 0.0", ">="):
         "no float64 phase has a cos of exactly 0.0 (pi/2 is irrational), so >= 0.0 and > 0.0 agree",
