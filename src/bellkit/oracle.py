@@ -10,10 +10,17 @@ holds with zero counterexamples:
   sprime_bounds:            S'_min <= S' <= S'_max for every tally
   uniformity_no_violation:  sigma = 0 implies S <= 2
 
-Every tally is screened in integers: the S' bounds, and S > 2 as
-X = chsh_numerator - abcd being positive. The other four conditions all
-read "S > 2 implies ...", so only a violating tally becomes a TallyTable
-and goes through chsh_statistic, the analyzer's summary, which gives sigma.
+The enumeration is walked one slab at a time: the q + 1 consecutive
+tallies that share (n00, n01, n10) while n11 runs over 0..q. `checked`
+still counts every tally the enumerator yields. Each slab is screened in
+integers. Both S' slacks are convex and piecewise linear in n11, with kinks
+at the least and the greatest of n00, n01 and n10, so the S' bounds are
+checked at n11 = 0, those two kinks and q; a slab that fails at any of them
+is checked tally by tally. S > 2 is X = chsh_numerator - abcd being
+positive, and X falls by abc per unit of n11, so the violating tallies are
+a prefix of the slab. The other four conditions all read "S > 2 implies
+...", so only a tally of that prefix becomes a TallyTable and goes through
+chsh_statistic, the analyzer's summary, which gives sigma.
 The two thresholds are the (numerator, denominator) pairs of
 bounds._thresholds at Delta = 2X/abcd, the one statement from which
 bounds_report builds the required_skew and epsilon_floor that `analyze`
@@ -73,47 +80,55 @@ class CounterexampleReport(NamedTuple):
         }
 
 
+def _checked_size(n_per_setting: int, cap: int) -> int:
+    """n_per_setting, once it is an int >= 1 whose (n_per_setting + 1)^4 tallies fit under cap."""
+    q = n_per_setting
+    if isinstance(q, bool) or not isinstance(q, int):
+        raise DomainError(f"n_per_setting must be an integer, got {type(q).__name__}")
+    if q < 1:
+        raise DomainError(f"n_per_setting must be >= 1, got {q}")
+    if (q + 1) ** 4 > cap:
+        raise EnumerationCapError(f"enumeration of ({q} + 1)^4 tallies exceeds cap {cap}")
+    return q
+
+
 def enumerate_uniform_tallies(
     n_per_setting: int, cap: int = DEFAULT_CAP
 ) -> Iterator[tuple[int, int, int, int]]:
     """The correlated counts (n00, n01, n10, n11) of every tally with
     a=b=c=d=n_per_setting, in lexicographic order.
 
-    Yields (n_per_setting+1)^4 tuples; raises EnumerationCapError if that exceeds cap.
+    Yields (n_per_setting+1)^4 tuples; raises DomainError unless n_per_setting
+    is an int >= 1, and EnumerationCapError if the count exceeds cap.
     """
-    q = n_per_setting
-    if q < 1:
-        raise DomainError(f"n_per_setting must be >= 1, got {q}")
-    size = (q + 1) ** 4
-    if size > cap:
-        raise EnumerationCapError(f"enumeration of ({q} + 1)^4 tallies exceeds cap {cap}")
+    q = _checked_size(n_per_setting, cap)
     yield from itertools.product(range(q + 1), repeat=4)
+
+
+def _sprime_holds(corr: tuple[int, int, int, int]) -> bool:
+    """Whether S'_min <= S' <= S'_max for the four correlated counts."""
+    s_prime, s_prime_max, s_prime_min = sprime_counts(corr)
+    return s_prime_min <= s_prime <= s_prime_max
 
 
 def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> CounterexampleReport:
     """Check every condition on every enumerated tally; report failures verbatim.
 
-    Every tally is screened in integers, with no TallyTable and no Fraction:
-    the S' bounds, and whether S > 2. Each violating tally is then pushed
-    through chsh_statistic, so the conditions that only bind under a
-    violation read the sigma that analyze prints, and its thresholds are
-    decided on the integer pairs of _thresholds.
+    The enumeration is taken one (n00, n01, n10) slab at a time, as the
+    module docstring sets out: the S' bounds are checked at the slab's
+    kinks, or at every tally if one of those fails, and only the violating
+    prefix is pushed through chsh_statistic, so the conditions that only
+    bind under a violation read the sigma that analyze prints, and its
+    thresholds are decided on the integer pairs of _thresholds.
     """
     started = time.perf_counter()
-    q = n_per_setting
+    q = _checked_size(n_per_setting, cap)
     settings = (q, q, q, q)
     n_total = 4 * q
-    abcd = q**4
-    checked = 0
+    abc, abcd = q**3, q**4
     failures: list[tuple[TallyTable, str]] = []
-    for corr in enumerate_uniform_tallies(n_per_setting, cap=cap):
-        checked += 1
-        s_prime, s_prime_max, s_prime_min = sprime_counts(corr)
-        if not s_prime_min <= s_prime <= s_prime_max:
-            failures.append((TallyTable(q, q, q, q, *corr), "sprime_bounds"))
-        x = chsh_numerator(settings, corr) - abcd
-        if x <= 0:
-            continue
+
+    def check_violating(corr: tuple[int, int, int, int], x: int) -> None:
         tally = TallyTable(q, q, q, q, *corr)
         sigma = chsh_statistic(tally).sigma
         # Delta = S - 2 = 2X/abcd
@@ -127,6 +142,25 @@ def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> C
             failures.append((tally, "sigma_gt_NDelta_24"))
         if not eps_num * floor_den > floor_num * eps_den:
             failures.append((tally, "eps_gt_Delta_12"))
+
+    checked = 0
+    tallies = enumerate_uniform_tallies(q, cap=cap)
+    while slab := list(itertools.islice(tallies, q + 1)):
+        checked += len(slab)
+        n00, n01, n10, _ = slab[0]
+        lo, hi = min(n00, n01, n10), max(n00, n01, n10)
+        # X = x0 - n11*abc is positive exactly for n11 <= (x0 - 1) // abc
+        x0 = chsh_numerator(settings, slab[0]) - abcd
+        violating = range(min(q, (x0 - 1) // abc) + 1)
+        if all(map(_sprime_holds, (slab[0], slab[lo], slab[hi], slab[q]))):
+            for n11 in violating:
+                check_violating(slab[n11], x0 - n11 * abc)
+            continue
+        for n11, corr in enumerate(slab):
+            if not _sprime_holds(corr):
+                failures.append((TallyTable(q, q, q, q, *corr), "sprime_bounds"))
+            if n11 in violating:
+                check_violating(corr, x0 - n11 * abc)
     return CounterexampleReport(
         checked=checked,
         counterexamples=tuple(failures),

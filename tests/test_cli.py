@@ -482,6 +482,16 @@ class TestOracleCommand:
         assert code == 2
         assert "cap" in err
 
+    def test_cap_boundary(self, capsys):
+        # (2 + 1)^4 = 81 tallies: a cap of exactly 81 runs them all, 80 refuses before any
+        code, stdout, _ = run_cli(capsys, "oracle", "--n-per-setting", "2", "--cap", "81")
+        assert code == 0
+        assert json.loads(stdout)["checked"] == 81
+        code, stdout, err = run_cli(capsys, "oracle", "--n-per-setting", "2", "--cap", "80")
+        assert code == 2
+        assert stdout == ""
+        assert "cap 80" in err
+
 
 class TestReportSelfContainment:
     def test_numeric_fields_recomputable_from_tally(self, capsys, tmp_path):

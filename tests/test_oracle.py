@@ -2,12 +2,14 @@
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import bellkit.oracle
 from bellkit import (
+    DomainError,
     EnumerationCapError,
     TallyTable,
     bounds_report,
@@ -20,6 +22,44 @@ from bellkit import (
 )
 from bellkit.bounds import _thresholds
 from bellkit.oracle import CONDITIONS
+
+
+def per_tally_verify(q):
+    """(checked, counterexamples) with every condition checked on one tally
+    at a time: the reference for verify_necessary_conditions, which walks
+    the enumeration by slabs. Its helpers are read from bellkit.oracle, so a
+    test that patches one there patches both."""
+    oracle = bellkit.oracle
+    settings, n_total, abcd = (q, q, q, q), 4 * q, q**4
+    checked = 0
+    failures = []
+    for corr in oracle.enumerate_uniform_tallies(q):
+        checked += 1
+        s_prime, s_prime_max, s_prime_min = oracle.sprime_counts(corr)
+        if not s_prime_min <= s_prime <= s_prime_max:
+            failures.append((TallyTable(q, q, q, q, *corr), "sprime_bounds"))
+        x = oracle.chsh_numerator(settings, corr) - abcd
+        if x <= 0:
+            continue
+        tally = TallyTable(q, q, q, q, *corr)
+        sigma = oracle.chsh_statistic(tally).sigma
+        (skew_num, skew_den), (floor_num, floor_den) = oracle._thresholds(n_total, 2 * x, abcd)
+        eps_num, eps_den = oracle._max_strength(settings, corr)
+        if sigma == 0:
+            failures.append((tally, "uniformity_no_violation"))
+        if sigma < 1:
+            failures.append((tally, "sigma_ge_1"))
+        if not sigma * skew_den > skew_num:
+            failures.append((tally, "sigma_gt_NDelta_24"))
+        if not eps_num * floor_den > floor_num * eps_den:
+            failures.append((tally, "eps_gt_Delta_12"))
+    return checked, tuple(failures)
+
+
+def kinks(corr, q):
+    """The n11 at which the S' bounds of corr's slab are checked: 0, the least
+    and the greatest of n00, n01 and n10, and q."""
+    return 0, min(corr[:3]), max(corr[:3]), q
 
 
 class TestEnumeration:
@@ -48,6 +88,13 @@ class TestEnumeration:
 
     def test_size_equal_to_cap_allowed(self):
         assert sum(1 for _ in enumerate_uniform_tallies(1, cap=16)) == 16
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+    def test_non_int_refused(self, n):
+        with pytest.raises(DomainError, match="n_per_setting"):
+            next(enumerate_uniform_tallies(n))
+        with pytest.raises(DomainError, match="n_per_setting"):
+            verify_necessary_conditions(n)
 
 
 class TestVerification:
@@ -90,6 +137,11 @@ class TestVerification:
     def test_cap_propagates(self):
         with pytest.raises(EnumerationCapError):
             verify_necessary_conditions(40, cap=10**5)
+
+    def test_cap_checked_before_any_slab(self):
+        # a slab of 10^30 + 1 tallies cannot even be asked for
+        with pytest.raises(EnumerationCapError):
+            verify_necessary_conditions(10**30)
 
     @staticmethod
     def patch_thresholds(monkeypatch, replace):
@@ -146,3 +198,70 @@ class TestVerification:
         assert violating
         report = verify_necessary_conditions(2)
         assert report.counterexamples == tuple((t, condition) for t in violating)
+
+
+class TestSlabWalk:
+    """verify_necessary_conditions against the per-tally reference."""
+
+    @staticmethod
+    def report(q):
+        report = verify_necessary_conditions(q)
+        return report.checked, report.counterexamples
+
+    @staticmethod
+    def fail_every_violating_tally(monkeypatch):
+        # thresholds no tally meets put every violating tally into the report, twice
+        unmet = (10**9, 1), (10**9, 1)
+        monkeypatch.setattr(bellkit.oracle, "_thresholds", lambda n_total, num, den: unmet)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_matches_per_tally_reference(self, q):
+        assert self.report(q) == per_tally_verify(q) == ((q + 1) ** 4, ())
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_matches_reference_when_every_violating_tally_fails(self, monkeypatch, q):
+        self.fail_every_violating_tally(monkeypatch)
+        expected = per_tally_verify(q)
+        assert len(expected[1]) == 2 * sum(
+            1 for corr in enumerate_uniform_tallies(q) if chsh_exact(TallyTable(q, q, q, q, *corr)) > 2)
+        assert self.report(q) == expected
+
+    @pytest.mark.parametrize("kink", range(4))
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_broken_bound_at_a_kink_falls_back_to_every_tally(self, monkeypatch, q, kink):
+        # S' is pushed past S'_max at one kink of every third slab, and every
+        # violating tally also fails its thresholds, so the fallback must
+        # interleave both kinds of counterexample as the reference does
+        real = bellkit.oracle.sprime_counts
+
+        def broken_at(corr):
+            return sum(corr[:3]) % 3 == 0 and corr[3] == kinks(corr, q)[kink]
+
+        def broken(corr):
+            s_prime, s_prime_max, s_prime_min = real(corr)
+            if broken_at(corr):
+                s_prime = s_prime_max + 1
+            return s_prime, s_prime_max, s_prime_min
+
+        monkeypatch.setattr(bellkit.oracle, "sprime_counts", broken)
+        self.fail_every_violating_tally(monkeypatch)
+        checked, expected = per_tally_verify(q)
+        assert [t.corr_counts for t, condition in expected if condition == "sprime_bounds"] == [
+            corr for corr in enumerate_uniform_tallies(q) if broken_at(corr)]
+        assert self.report(q) == (checked, expected)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_sprime_checked_at_four_points_per_slab(self, monkeypatch, q):
+        calls = []
+        real = bellkit.oracle.sprime_counts
+
+        def counted(corr):
+            calls.append(corr)
+            return real(corr)
+
+        monkeypatch.setattr(bellkit.oracle, "sprime_counts", counted)
+        assert verify_necessary_conditions(q).ok
+        per_slab = Counter(corr[:3] for corr in calls)
+        assert len(per_slab) == (q + 1) ** 3
+        assert max(per_slab.values()) <= 4
+        assert all(corr[3] in kinks(corr, q) for corr in calls)
