@@ -1,11 +1,11 @@
 """Necessary conditions for CHSH violation and the no-signalling analysis.
 
-All threshold comparisons here are strict inequalities evaluated in exact
-rational arithmetic. Every tolerance and magnitude goes through as_exact,
-the number rule the CLI's --epsilon and --delta share; a float is read
-through its shortest decimal (0.01 means 1/100, not the nearest binary
-double), so integer thresholds like the minimum trial count land exactly
-where the decimal value puts them.
+Built on stats' integer core. All threshold comparisons here are strict
+inequalities evaluated in exact rational arithmetic. Every tolerance and
+magnitude goes through as_exact, the number rule the CLI's --epsilon and
+--delta share; a float is read through its shortest decimal (0.01 means
+1/100, not the nearest binary double), so integer thresholds like the
+minimum trial count land exactly where the decimal value puts them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .stats import chsh_numerator, skew
+from .stats import chsh_numerator, max_strength, strength, thresholds, violation_possible_counts
 from .trials import CELL_LABELS, TallyTable
 
 # Unordered setting-cell pairs whose comparison is a physical marginal
@@ -29,9 +29,6 @@ PHYSICAL_PAIRS = (
     frozenset(("a", "c")),
     frozenset(("b", "d")),
 )
-
-# The six unordered pairs of setting cells, as indices into the count tuples.
-_CELL_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 def as_exact(value) -> Fraction:
@@ -70,7 +67,7 @@ class MarginalDelta(NamedTuple):
 
     value is (alpha*n_beta - beta*n_alpha) / (alpha*(alpha+beta)) for cell
     counts alpha, beta and correlated counts n_alpha, n_beta. strength is
-    the pair strength of _strength, which the smallness criterion compares
+    the pair strength of stats.strength, which the smallness criterion compares
     against epsilon; it is the same for both orientations of a pair.
     """
 
@@ -101,29 +98,9 @@ class NoSignallingReport(NamedTuple):
         return tuple(d for d in self.deltas if d.strength_exact >= eps)
 
 
-def _strength(ca: int, cb: int, na: int, nb: int) -> tuple[int, int]:
-    """Pair strength |ca*nb - cb*na| / ((ca+cb)*min(ca, cb)) as (numerator, denominator)."""
-    return abs(ca * nb - cb * na), (ca + cb) * min(ca, cb)
-
-
-def _max_strength(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> tuple[int, int]:
-    """The largest pair strength over the setting cells, as (numerator, denominator).
-
-    Every setting count must be positive. The strength is the same for
-    both orientations of a pair, so the six unordered pairs suffice; they
-    are compared by integer cross-multiplication.
-    """
-    best_num, best_den = 0, 1
-    for i, j in _CELL_PAIRS:
-        num, den = _strength(settings[i], settings[j], corr[i], corr[j])
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-    return best_num, best_den
-
-
 def epsilon_achieved(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> Fraction:
     """Achieved epsilon: the largest pair strength over the setting cells, as one Fraction."""
-    return Fraction(*_max_strength(settings, corr))
+    return Fraction(*max_strength(settings, corr))
 
 
 def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
@@ -145,7 +122,7 @@ def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
                 beta=beta,
                 value=float(value),
                 value_exact=value,
-                strength_exact=Fraction(*_strength(ca, cb, na, nb)),
+                strength_exact=Fraction(*strength(ca, cb, na, nb)),
                 physical=frozenset((alpha, beta)) in PHYSICAL_PAIRS,
             )
         )
@@ -158,23 +135,12 @@ def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
 
 
 def violation_possible(n_min: int, sigma: int, n_total: int) -> bool:
-    """Strict necessary condition for any violation: 2*n_min + 3*sigma > N/2, in integers."""
+    """Strict necessary condition for a violation at a = b = c = d: 2*n_min + 3*sigma > N/2, in integers."""
     if n_total <= 0:
         raise DomainError(f"trial count must be positive, got {n_total}")
     if n_min < 0 or sigma < 0:
         raise DomainError("n_min and sigma must be nonnegative")
     return 2 * (2 * n_min + 3 * sigma) > n_total
-
-
-def _thresholds(n_total: int, num: int, den: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The strict bounds N*Delta/24 and Delta/12 for Delta = num/den, as (numerator, denominator) pairs.
-
-    These are the paper's thresholds, stated once: required_skew,
-    epsilon_floor and bounds_report build their Fractions from the pairs,
-    and the oracle compares against them by cross-multiplication. The
-    pairs are not reduced; Delta/12 does not depend on N.
-    """
-    return (n_total * num, 24 * den), (num, 12 * den)
 
 
 def _magnitude(delta) -> Fraction:
@@ -194,7 +160,7 @@ def required_skew(n_total: int, delta) -> Fraction:
     if n_total <= 0:
         raise DomainError(f"trial count must be positive, got {n_total}")
     magnitude = _magnitude(delta)
-    bound, _ = _thresholds(n_total, magnitude.numerator, magnitude.denominator)
+    bound, _ = thresholds(n_total, magnitude.numerator, magnitude.denominator)
     return Fraction(*bound)
 
 
@@ -205,7 +171,7 @@ def epsilon_floor(delta) -> Fraction:
     independent of the number of trials.
     """
     magnitude = _magnitude(delta)
-    _, floor = _thresholds(0, magnitude.numerator, magnitude.denominator)
+    _, floor = thresholds(0, magnitude.numerator, magnitude.denominator)
     return Fraction(*floor)
 
 
@@ -222,11 +188,11 @@ class BoundsReport(NamedTuple):
 
     delta is the magnitude the thresholds are computed for (the achieved
     excess over 2 unless a target was requested); delta_small = N*delta/8
-    converts it to count units, and required_skew = delta_small/3 exactly.
-    violation_possible asks whether any violation is count-compatible
-    (threshold N/2). min_trials is the smallest N compatible with
-    min_trials_epsilon, which is the requested tolerance when given, else
-    the epsilon floor.
+    converts it to count units, and required_skew = delta_small/3 exactly,
+    the paper's bound for a = b = c = d. violation_possible asks whether any
+    violation is count-compatible under any settings, in rate form.
+    min_trials is the smallest N compatible with min_trials_epsilon, which
+    is the requested tolerance when given, else the epsilon floor.
     """
 
     delta: Fraction
@@ -256,8 +222,7 @@ def bounds_report(t: TallyTable, delta=None, epsilon=None) -> BoundsReport:
     else:
         magnitude = _magnitude(delta)
         num, den = magnitude.numerator, magnitude.denominator
-    skew_bound, floor_bound = _thresholds(n_total, num, den)
-    sigma, _, n_min = skew(t)
+    skew_bound, floor_bound = thresholds(n_total, num, den)
     floor = Fraction(*floor_bound)
     eps_for_n = as_exact(epsilon) if epsilon is not None else (floor if floor > 0 else None)
     return BoundsReport(
@@ -265,7 +230,7 @@ def bounds_report(t: TallyTable, delta=None, epsilon=None) -> BoundsReport:
         delta_source="achieved" if delta is None else "requested",
         delta_small=Fraction(n_total * num, 8 * den),
         required_skew=Fraction(*skew_bound),
-        violation_possible=violation_possible(n_min, sigma, n_total),
+        violation_possible=violation_possible_counts(t.setting_counts, t.corr_counts),
         epsilon_floor=floor,
         min_trials=min_trials(eps_for_n) if eps_for_n is not None else None,
         min_trials_epsilon=eps_for_n,

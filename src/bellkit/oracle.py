@@ -22,24 +22,25 @@ a prefix of the slab. The other four conditions all read "S > 2 implies
 ...", so only a tally of that prefix becomes a TallyTable and goes through
 chsh_statistic, the analyzer's summary, which gives sigma.
 The two thresholds are the (numerator, denominator) pairs of
-bounds._thresholds at Delta = 2X/abcd, the one statement from which
+stats.thresholds at Delta = 2X/abcd, the one statement from which
 bounds_report builds the required_skew and epsilon_floor that `analyze`
 prints; the oracle compares against them by cross-multiplication, with
-the achieved epsilon's own pair, so it checks what a user reads without
-building a Fraction. Exact arithmetic matters: several conditions sit on
-strict-inequality boundaries (S exactly 2) where floating point could
-manufacture or hide a counterexample.
+the achieved epsilon's own pair from stats.max_strength, so it checks
+what a user reads without building a Fraction; every count form it reads
+is in stats' integer core. Exact arithmetic matters: several conditions
+sit on strict-inequality boundaries (S exactly 2) where floating point
+could manufacture or hide a counterexample.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 from typing import Iterator, NamedTuple
 
-from .bounds import _max_strength, _thresholds
 from .errors import DomainError, EnumerationCapError
-from .stats import chsh_numerator, chsh_statistic, sprime_counts
+from .stats import chsh_numerator, chsh_statistic, max_strength, sprime_counts, thresholds
 from .trials import TallyTable
 
 CONDITIONS = (
@@ -81,7 +82,8 @@ class CounterexampleReport(NamedTuple):
 
 
 def _checked_size(n_per_setting: int, cap: int) -> int:
-    """n_per_setting, once it is an int >= 1 whose (n_per_setting + 1)^4 tallies fit under cap."""
+    """n_per_setting, once it is an int >= 1 whose (n_per_setting + 1)^4 tallies fit under cap
+    and whose slab of n_per_setting + 1 tallies fits in a list (at most sys.maxsize)."""
     q = n_per_setting
     if isinstance(q, bool) or not isinstance(q, int):
         raise DomainError(f"n_per_setting must be an integer, got {type(q).__name__}")
@@ -89,6 +91,8 @@ def _checked_size(n_per_setting: int, cap: int) -> int:
         raise DomainError(f"n_per_setting must be >= 1, got {q}")
     if (q + 1) ** 4 > cap:
         raise EnumerationCapError(f"enumeration of ({q} + 1)^4 tallies exceeds cap {cap}")
+    if q + 1 > sys.maxsize:
+        raise EnumerationCapError(f"a slab of {q} + 1 tallies exceeds sys.maxsize {sys.maxsize}")
     return q
 
 
@@ -119,7 +123,7 @@ def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> C
     kinks, or at every tally if one of those fails, and only the violating
     prefix is pushed through chsh_statistic, so the conditions that only
     bind under a violation read the sigma that analyze prints, and its
-    thresholds are decided on the integer pairs of _thresholds.
+    thresholds are decided on the integer pairs of thresholds.
     """
     started = time.perf_counter()
     q = _checked_size(n_per_setting, cap)
@@ -132,8 +136,8 @@ def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> C
         tally = TallyTable(q, q, q, q, *corr)
         sigma = chsh_statistic(tally).sigma
         # Delta = S - 2 = 2X/abcd
-        (skew_num, skew_den), (floor_num, floor_den) = _thresholds(n_total, 2 * x, abcd)
-        eps_num, eps_den = _max_strength(settings, corr)
+        (skew_num, skew_den), (floor_num, floor_den) = thresholds(n_total, 2 * x, abcd)
+        eps_num, eps_den = max_strength(settings, corr)
         if sigma == 0:
             failures.append((tally, "uniformity_no_violation"))
         if sigma < 1:

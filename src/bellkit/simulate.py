@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import shard_ranges, trial_keys, trial_words, unit_doubles, unit_threshold
-from .trials import SEED_MAX, TallyTable, _Checked, merge_tallies
+from .trials import SEED_MAX, Checked, TallyTable, merge_tallies
 
 _CHUNK = 1 << 16
 
@@ -86,7 +86,7 @@ def _shown(v: object) -> str:
     return f"{type(v).__name__} {text[:40]}{'...' if len(text) > 40 else ''}"
 
 
-class SimulationConfig(_Checked, namedtuple(
+class SimulationConfig(Checked, namedtuple(
         "SimulationConfig", "model theta_a0 theta_a1 theta_b0 theta_b1 trials seed setting_scheme flip_station2",
         defaults=(0, "uniform_random", False))):
     """Generator model, measurement angles (radians), trial count, seed.

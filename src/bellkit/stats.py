@@ -1,14 +1,14 @@
-"""Correlation coefficients and CHSH test statistics.
+"""Correlation coefficients, CHSH test statistics, and the integer core.
 
-Count-derived quantities (sigma, S', bounds) stay in exact integer
-arithmetic; ratio statistics are evaluated as exact rationals and rounded
-once to float, so strict comparisons such as S > 2 are decided on the
-exact value and never disturbed by intermediate rounding. S is one exact
+The integer core holds every count form the analyzer and the oracle
+share: rate_numerators, chsh_numerator, skew_counts, sprime_counts,
+violation_possible_counts, strength, max_strength and thresholds. They
+take count tuples and build no TallyTable or Fraction; bounds builds its
+Fractions from them, and the oracle compares them by cross-multiplication.
+Ratio statistics are exact rationals rounded once to float, so strict
+comparisons such as S > 2 are decided on the exact value. S is one exact
 rational: an integer numerator over the product abcd of the cell counts.
-skew_counts, sprime_counts and chsh_numerator take the count tuples
-themselves, so the oracle decides S > 2 and the S' bounds without building
-a TallyTable or a Fraction. chsh_exact, skew and chsh_statistic apply them
-to a tally; S' of a tally is sprime_counts(t.corr_counts), its one form.
+chsh_exact, skew and chsh_statistic apply the core to a tally.
 """
 
 from __future__ import annotations
@@ -81,15 +81,66 @@ def sprime_counts(corr: tuple[int, int, int, int]) -> tuple[int, int, int]:
     return n00 + n01 + n10 - n11, 2 * n_min + 3 * sigma, 2 * n_min - sigma
 
 
+def rate_numerators(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """m_i = n_i*abcd/cell_i: the rates n00/a, n01/b, n10/c, n11/d over their common denominator abcd."""
+    a, b, c, d = settings
+    n00, n01, n10, n11 = corr
+    cd, ab = c * d, a * b
+    return n00 * b * cd, n01 * a * cd, n10 * ab * d, n11 * ab * c
+
+
 def chsh_numerator(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> int:
     """X = n00*bcd + n01*acd + n10*abd - n11*abc - abcd, so S = 2X/(abcd).
 
     For populated cells, S > 2 exactly when X > abcd.
     """
+    m00, m01, m10, m11 = rate_numerators(settings, corr)
     a, b, c, d = settings
-    n00, n01, n10, n11 = corr
-    cd, ab = c * d, a * b
-    return n00 * b * cd + n01 * a * cd + n10 * ab * d - n11 * ab * c - ab * cd
+    return m00 + m01 + m10 - m11 - a * b * c * d
+
+
+def violation_possible_counts(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> bool:
+    """Strict necessary condition for S > 2 under any settings: 2*min m + 3*(max m - min m) > 2*abcd.
+
+    S > 2 is S' of the rate numerators m exceeding 2*abcd, and S' <= 3*max m - min m.
+    On a = b = c = d it is 2*n_min + 3*sigma > N/2; with an empty cell it is False.
+    """
+    a, b, c, d = settings
+    return sprime_counts(rate_numerators(settings, corr))[1] > 2 * a * b * c * d
+
+
+_CELL_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))  # unordered pairs of setting cells
+
+
+def strength(ca: int, cb: int, na: int, nb: int) -> tuple[int, int]:
+    """Pair strength |ca*nb - cb*na| / ((ca+cb)*min(ca, cb)) as (numerator, denominator)."""
+    return abs(ca * nb - cb * na), (ca + cb) * min(ca, cb)
+
+
+def max_strength(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> tuple[int, int]:
+    """The largest pair strength over the setting cells, as (numerator, denominator).
+
+    Every setting count must be positive. The strength is the same for
+    both orientations of a pair, so the six unordered pairs suffice; they
+    are compared by integer cross-multiplication.
+    """
+    best_num, best_den = 0, 1
+    for i, j in _CELL_PAIRS:
+        num, den = strength(settings[i], settings[j], corr[i], corr[j])
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return best_num, best_den
+
+
+def thresholds(n_total: int, num: int, den: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The strict bounds N*Delta/24 and Delta/12 for Delta = num/den, as (numerator, denominator) pairs.
+
+    These are the paper's thresholds, stated once: required_skew,
+    epsilon_floor and bounds_report build their Fractions from the pairs,
+    and the oracle compares against them by cross-multiplication. The
+    pairs are not reduced; Delta/12 does not depend on N.
+    """
+    return (n_total * num, 24 * den), (num, 12 * den)
 
 
 def skew(t: TallyTable) -> tuple[int, int, int]:

@@ -62,7 +62,7 @@ def _check_count(label: str, value: object) -> None:
         raise OverflowError(f"count '{label}' exceeds 64-bit count capacity: {value}")
 
 
-class _Checked:
+class Checked:
     """Base of a named tuple that is valid by construction: _check runs from __new__.
 
     _make, and so _replace, calls the class, and a copy or an unpickled
@@ -84,7 +84,7 @@ class _Checked:
         return type(self), tuple(self)
 
 
-class TrialRecord(_Checked, namedtuple("TrialRecord", _TRIAL_FIELDS)):
+class TrialRecord(Checked, namedtuple("TrialRecord", _TRIAL_FIELDS)):
     """One experimental trial: setting bits s1, s2 and outcomes o1, o2."""
 
     __slots__ = ()
@@ -100,7 +100,7 @@ class TrialRecord(_Checked, namedtuple("TrialRecord", _TRIAL_FIELDS)):
                 raise DomainError(f"{name} must be +1 or -1, got {v!r}")
 
 
-class TallyTable(_Checked, namedtuple("TallyTable", CELL_LABELS + CORR_LABELS, defaults=(0,) * 8)):
+class TallyTable(Checked, namedtuple("TallyTable", CELL_LABELS + CORR_LABELS, defaults=(0,) * 8)):
     """The eight aggregate counts of a CHSH experiment.
 
     a, b, c, d count trials under settings 00, 01, 10, 11; n00..n11 count
@@ -163,7 +163,7 @@ class TallyTable(_Checked, namedtuple("TallyTable", CELL_LABELS + CORR_LABELS, d
         return cls(*(rest + n for rest, n in zip(bins[0::2], corr)), *corr)
 
 
-class ThreeSettingTally(_Checked, namedtuple("ThreeSettingTally", "n_ac n_ba n_bc N_ac N_ba N_bc")):
+class ThreeSettingTally(Checked, namedtuple("ThreeSettingTally", "n_ac n_ba n_bc N_ac N_ba N_bc")):
     """Counts for the three setting pairs of the 1964 two-outcome test.
 
     N_xy is the number of trials under setting pair xy and n_xy the number

@@ -1,5 +1,6 @@
 """Necessity thresholds and the no-signalling delta family."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from bellkit import (
     EmptyCellError,
     TallyTable,
     bounds_report,
+    build_analysis_report,
     chsh_exact,
     epsilon_floor,
     min_trials,
@@ -24,7 +26,8 @@ from bellkit import (
     skew,
     violation_possible,
 )
-from bellkit.bounds import PHYSICAL_PAIRS, _thresholds, as_exact, epsilon_achieved
+from bellkit.bounds import PHYSICAL_PAIRS, as_exact, epsilon_achieved
+from bellkit.stats import thresholds, violation_possible_counts
 
 
 @st.composite
@@ -139,6 +142,33 @@ class TestViolationPossible:
     def test_no_trials_rejected(self):
         with pytest.raises(DomainError):
             violation_possible(0, 0, 0)
+
+    @given(uniform_tallies(max_per_setting=2**64 - 1))
+    @example(TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=4))  # on the boundary
+    def test_rate_form_is_this_test_on_uniform_tallies(self, t):
+        sigma, _, n_min = skew(t)
+        rate_form = violation_possible_counts(t.setting_counts, t.corr_counts)
+        assert rate_form == violation_possible(n_min, sigma, t.total_trials)
+        assert bounds_report(t).violation_possible == rate_form
+
+    def test_every_small_violation_is_possible(self):
+        """Every tally with a..d in 1..3: the rate form admits each violation, where the
+        uniform-settings form misses some."""
+        violating, missed = 0, 0
+        for settings in itertools.product(range(1, 4), repeat=4):
+            for corr in itertools.product(*(range(cell + 1) for cell in settings)):
+                t = TallyTable(*settings, *corr)
+                if chsh_exact(t) > 2:
+                    violating += 1
+                    sigma, _, n_min = skew(t)
+                    missed += not violation_possible(n_min, sigma, t.total_trials)
+                    assert bounds_report(t).violation_possible, t
+        assert violating and missed
+
+    def test_empty_cell_admits_no_violation(self):
+        # S is undefined, so a requested delta's report says no violation is possible
+        t = TallyTable(a=4, b=4, c=0, d=4, n00=4, n01=4, n11=0)
+        assert not bounds_report(t, delta=1).violation_possible
 
 
 class TestRequiredSkew:
@@ -328,11 +358,39 @@ class TestBoundsReport:
     @given(populated_tallies(max_count=2**64 - 1), st.none() | st.fractions(0, 2))
     @example(TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0), None)
     def test_thresholds_are_the_shared_pairs(self, t, delta):
-        """required_skew = N*Delta/24 and epsilon_floor = Delta/12, built from _thresholds."""
+        """required_skew = N*Delta/24 and epsilon_floor = Delta/12, built from thresholds."""
         rep = bounds_report(t, delta=delta)
         n_total = t.total_trials
         magnitude = max(Fraction(0), chsh_exact(t) - 2) if delta is None else delta
-        skew_pair, floor_pair = _thresholds(n_total, magnitude.numerator, magnitude.denominator)
+        skew_pair, floor_pair = thresholds(n_total, magnitude.numerator, magnitude.denominator)
         assert rep.delta == magnitude
         assert rep.required_skew == Fraction(*skew_pair) == n_total * magnitude / 24
         assert rep.epsilon_floor == Fraction(*floor_pair) == magnitude / 12
+
+
+class TestReportIdentities:
+    """Cross-field identities of the analyze report."""
+
+    @given(populated_tallies(max_count=2**64 - 1), st.none() | st.fractions(0, 2))
+    @example(TallyTable(a=1, b=1, c=1, d=2, n00=1, n01=1, n10=1, n11=1), None)  # S = 3
+    @example(TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0), None)
+    def test_every_populated_tally(self, t, delta):
+        doc = build_analysis_report(t, delta=delta).to_dict()
+        chsh, ns, bounds = doc["chsh"], doc["nosignalling"], doc["bounds"]
+        s = Fraction(chsh["s_exact"])
+        assert chsh["violated"] == (s > 2)
+        assert bounds["violation_possible"] or not chsh["violated"]
+        if delta is None:
+            assert Fraction(bounds["delta_exact"]) == max(Fraction(0), s - 2)
+        assert Fraction(bounds["delta_small_exact"]) == 3 * Fraction(bounds["required_skew_exact"])
+        largest = max(abs(Fraction(d["value_exact"])) for d in ns["deltas"])
+        assert Fraction(ns["epsilon_achieved_exact"]) == largest
+        assert chsh["s_prime_min"] <= chsh["s_prime"] <= chsh["s_prime_max"]
+
+    @given(uniform_tallies(max_per_setting=2**64 - 1))
+    @example(TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0))
+    def test_violation_exceeds_the_required_skew_on_uniform_tallies(self, t):
+        """The paper's sigma > N*Delta/24, stated for a = b = c = d."""
+        doc = build_analysis_report(t).to_dict()
+        if doc["chsh"]["violated"]:
+            assert doc["chsh"]["sigma"] > Fraction(doc["bounds"]["required_skew_exact"])

@@ -415,6 +415,8 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (["analyze", "--trials", "{deep}"], 1),
     (SIMULATE + ["{deep}"], 2),
     (["oracle", "--n-per-setting", "9" * 1200], 2),
+    # (10^20 + 1)^4 fits under the cap, but a slab of 10^20 + 1 tallies exceeds sys.maxsize
+    (["oracle", "--n-per-setting", str(10**20), "--cap", str(10**90)], 2),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{missing}/out.json"], 1),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
       "--emit-trials", "{missing}/trials.jsonl"], 1),
@@ -439,7 +441,8 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
         "delta-overflows-float", "epsilon-overflows-float", "epsilon-underflows-float",
         "delta-underflows-float", "epsilon-huge-exponent", "delta-5000-digits",
         "tally-deep-json", "trials-deep-json",
-        "config-deep-json", "oracle-huge-k", "out-missing-dir", "emit-missing-dir",
+        "config-deep-json", "oracle-huge-k", "oracle-slab-past-maxsize",
+        "out-missing-dir", "emit-missing-dir",
         "emit-is-out", "emit-links-to-out", "emit-and-out-dev-null",
         "seed-negative", "seed-above-64-bit", "trials-zero", "cap-zero",
         "delta-4300-digits", "delta-4300-digit-numerator"])
@@ -491,6 +494,17 @@ class TestOracleCommand:
         assert code == 2
         assert stdout == ""
         assert "cap 80" in err
+
+
+def test_violation_possible_under_unequal_settings(capsys, tmp_path):
+    """S = 3 with d = 2: the report that says violated must not say no violation is possible."""
+    path = tmp_path / "t.json"
+    path.write_text('{"a":1,"b":1,"c":1,"d":2,"n00":1,"n01":1,"n10":1,"n11":1}', encoding="utf-8")
+    code, stdout, _ = run_cli(capsys, "analyze", "--tally", str(path))
+    printed = json.loads(stdout)
+    assert code == 3
+    assert printed["chsh"]["s_exact"] == "3" and printed["chsh"]["violated"]
+    assert printed["bounds"]["violation_possible"] is True
 
 
 class TestReportSelfContainment:
@@ -600,3 +614,19 @@ class TestTopLevel:
                 elif isinstance(node, ast.ImportFrom) and node.module:
                     imported.add(node.module)
         assert "typing" in imported and "dataclasses" not in imported
+
+    def test_no_module_imports_a_private_name(self):
+        """No bellkit module imports another's underscore name, and the oracle imports
+        nothing from bounds: the count forms they share are stats' integer core."""
+        package = Path(bellkit.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ImportFrom) or not (node.level or node.module.startswith("bellkit")):
+                    continue  # not an import from bellkit
+                source = (node.module or "").removeprefix("bellkit").lstrip(".")
+                for alias in node.names:
+                    private = alias.name.startswith("_") and not alias.name.endswith("__")
+                    if private or (path.stem == "oracle" and "bounds" in (source, alias.name)):
+                        found.append(f"{path.name}: from .{source} import {alias.name}")
+        assert found == []

@@ -186,7 +186,7 @@ GOLDEN_ANALYZE = {
     "k_empty_cell": ((1, 1, 1, 1, 1, 1, 1, 1), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "k_maximal": ((3, 3, 3, 3, 3, 3, 3, 3), "bf93b74575dd21be2b7b31616b6227b54b3fefd5939675cf442170cf8568315e"),
     "k_nonuniform_clean": ((0, 0, 0, 0, 0, 0, 0, 0), "5c2d22b0d98eb83b89120b2d9c5dfe6945af66bb85578c081f1512ebd24e3ddd"),
-    "k_nonuniform_small": ((3, 3, 3, 3, 3, 3, 3, 3), "6563400d709d62169dd1096a47fd36128859bdfcfe3b57ecf12eb5483f7d6e5f"),
+    "k_nonuniform_small": ((3, 3, 3, 3, 3, 3, 3, 3), "6c08154c3de3c270ebc2ee53f21e868df91619770989adaac77c59a0fbf6c3e4"),
     "k_nonuniform_violated": ((3, 3, 3, 3, 3, 3, 3, 3), "d8a5a41b536719fef34eaa55101c3a83bb93c9ee5de32af81089b673b38a6d8d"),
     "k_seeded": ((3, 3, 3, 3, 3, 3, 3, 3), "c1115b6860876439e425745da322670ad556b46aca0225954c4674c40b28d8d3"),
     "k_violated": ((3, 3, 3, 3, 3, 3, 3, 3), "6527d87011793958a14ee1a4f2aaae39ed2493449ca6fbce4e05dc280b4b2a7c"),

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -20,8 +21,8 @@ from bellkit import (
     skew,
     verify_necessary_conditions,
 )
-from bellkit.bounds import _thresholds
 from bellkit.oracle import CONDITIONS
+from bellkit.stats import thresholds
 
 
 def per_tally_verify(q):
@@ -43,8 +44,8 @@ def per_tally_verify(q):
             continue
         tally = TallyTable(q, q, q, q, *corr)
         sigma = oracle.chsh_statistic(tally).sigma
-        (skew_num, skew_den), (floor_num, floor_den) = oracle._thresholds(n_total, 2 * x, abcd)
-        eps_num, eps_den = oracle._max_strength(settings, corr)
+        (skew_num, skew_den), (floor_num, floor_den) = oracle.thresholds(n_total, 2 * x, abcd)
+        eps_num, eps_den = oracle.max_strength(settings, corr)
         if sigma == 0:
             failures.append((tally, "uniformity_no_violation"))
         if sigma < 1:
@@ -143,20 +144,29 @@ class TestVerification:
         with pytest.raises(EnumerationCapError):
             verify_necessary_conditions(10**30)
 
+    def test_slab_past_maxsize_refused(self):
+        # under a cap no K reaches, a slab longer than sys.maxsize is still refused before
+        # any enumerator is built; K = sys.maxsize - 1 is checked but never enumerated
+        with pytest.raises(EnumerationCapError, match="sys.maxsize"):
+            verify_necessary_conditions(10**20, cap=10**90)
+        with pytest.raises(EnumerationCapError, match="sys.maxsize"):
+            bellkit.oracle._checked_size(sys.maxsize, 10**90)
+        assert bellkit.oracle._checked_size(sys.maxsize - 1, 10**90) == sys.maxsize - 1
+
     @staticmethod
     def patch_thresholds(monkeypatch, replace):
-        """Route the oracle's _thresholds through replace(tally, pairs), with the tally chsh_statistic last saw."""
+        """Route the oracle's thresholds through replace(tally, pairs), with the tally chsh_statistic last saw."""
         seen = []
 
         def summarized(tally):
             seen.append(tally)
             return chsh_statistic(tally)
 
-        def thresholds(n_total, num, den):
-            return replace(seen[-1], _thresholds(n_total, num, den))
+        def patched(n_total, num, den):
+            return replace(seen[-1], thresholds(n_total, num, den))
 
         monkeypatch.setattr(bellkit.oracle, "chsh_statistic", summarized)
-        monkeypatch.setattr(bellkit.oracle, "_thresholds", thresholds)
+        monkeypatch.setattr(bellkit.oracle, "thresholds", patched)
 
     @pytest.mark.parametrize("q", [2, 5])
     def test_thresholds_are_the_printed_ones(self, monkeypatch, q):
@@ -186,7 +196,7 @@ class TestVerification:
     ], ids=["required_skew-sigma_gt_NDelta_24", "epsilon_floor-eps_gt_Delta_12",
             "required_skew-at-own-sigma", "epsilon_floor-at-own-epsilon"])
     def test_checks_the_printed_thresholds(self, monkeypatch, threshold, condition, value):
-        # the oracle decides each condition on the pairs of the shared _thresholds
+        # the oracle decides each condition on the pairs of the shared thresholds
         def replace(tally, pairs):
             replaced = dict(zip(("required_skew", "epsilon_floor"), pairs))
             replaced[threshold] = value(tally).as_integer_ratio()
@@ -212,7 +222,7 @@ class TestSlabWalk:
     def fail_every_violating_tally(monkeypatch):
         # thresholds no tally meets put every violating tally into the report, twice
         unmet = (10**9, 1), (10**9, 1)
-        monkeypatch.setattr(bellkit.oracle, "_thresholds", lambda n_total, num, den: unmet)
+        monkeypatch.setattr(bellkit.oracle, "thresholds", lambda n_total, num, den: unmet)
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_matches_per_tally_reference(self, q):

@@ -19,7 +19,7 @@ from bellkit import (
     skew,
     uniform_prob_s,
 )
-from bellkit.stats import _correlation, chsh_numerator, sprime_counts
+from bellkit.stats import _correlation, chsh_numerator, rate_numerators, sprime_counts, violation_possible_counts
 
 # S and the E values live in [-4, 4]; the agreement tolerance between
 # evaluation routes is 4 units in the last place at that magnitude.
@@ -177,6 +177,17 @@ class TestIntegerForms:
         n00, n01, n10, n11 = corr
         reference = (n00 + n01 + n10 - n11, 3 * max(corr) - min(corr), 3 * min(corr) - max(corr))
         assert sprime_counts(corr) == reference
+
+    @given(populated_tallies(COUNT_MAX))
+    def test_rate_numerators_are_the_rates_over_abcd(self, t):
+        a, b, c, d = t.setting_counts
+        rates = [Fraction(m, a * b * c * d) for m in rate_numerators(t.setting_counts, t.corr_counts)]
+        assert rates == [Fraction(n, cell) for n, cell in zip(t.corr_counts, t.setting_counts)]
+
+    def test_rate_form_is_strict(self):
+        # every m = 4 * 4^3 gives 2*min m + 3*sigma_m = 2*abcd exactly: S = 2, no violation possible
+        assert not violation_possible_counts((4, 4, 4, 4), (4, 4, 4, 4))
+        assert violation_possible_counts((4, 4, 4, 4), (4, 4, 4, 3))
 
 
 class TestBell1964:

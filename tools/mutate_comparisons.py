@@ -52,7 +52,7 @@ ALLOWED = {
         "no float64 phase has a cos of exactly 0.0 (pi/2 is irrational), so >= 0.0 and > 0.0 agree",
     ("simulate", "d1 < _HALF", "<"):
         "a word at d1 = 2^63 lies in the arc test's margin, so the float expression decides it",
-    ("bounds", "num * best_den > best_num * den", ">"):
+    ("stats", "num * best_den > best_num * den", ">"):
         "on a tie the kept strength equals the new one, so the maximum is the same",
 }
 
