@@ -7,9 +7,10 @@ outcomes: 0 success / no violation, 1 unreadable or invalid input,
 exits 2 before any work. Each cmd_* returns (payload, exit code) or
 raises; only main prints, and it maps each error to its exit code.
 
-Only simulation needs numpy, so simulate is imported inside the functions
-that simulate: analyze and oracle start without numpy. Likewise only
-analyze imports hashlib.
+Each command imports the modules it runs inside the function or flag
+type that runs them: only simulation needs numpy, only analyze loads
+hashlib, report and bounds, and only oracle loads the oracle, so
+--version loads no bellkit module but errors and trials.
 """
 
 from __future__ import annotations
@@ -17,16 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator
 
 from . import __version__
-from .bounds import as_exact
-from .errors import BellkitError, ConfigError, DomainError, EnumerationCapError
-from .oracle import DEFAULT_CAP, verify_necessary_conditions
-from .report import build_analysis_report
-from .stats import Bell1964Result, bell1964_statistic
+from .errors import DEFAULT_CAP, BellkitError, ConfigError, DomainError, EnumerationCapError
 from .trials import (
     SEED_MAX,
     TallyTable,
@@ -41,7 +37,10 @@ from .trials import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .simulate import SimulationConfig
+    from .stats import Bell1964Result
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -61,6 +60,8 @@ def _number_flag(accept, requirement: str):
     """An argparse type: as_exact of the text, kept when float() takes it and accept(number, float) holds."""
 
     def parse(text: str) -> Fraction:
+        from .bounds import as_exact
+
         try:
             number = as_exact(text)
             kept = accept(number, float(number))
@@ -87,6 +88,8 @@ def _angles_flag(text: str) -> tuple[float, ...]:
 
 def _bell1964_flag(text: str) -> Bell1964Result:
     """An argparse type: n_ac,N_ac,n_ba,N_ba,n_bc,N_bc as their three-setting statistics."""
+    from .stats import bell1964_statistic
+
     parts = text.split(",")
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("expected 6 comma-separated integers")
@@ -253,6 +256,8 @@ def _load_input_tally(args: argparse.Namespace) -> tuple[TallyTable, Path, str, 
 
 
 def cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
+    from .report import build_analysis_report
+
     tally, path, sha256, seed = _load_input_tally(args)
     report = build_analysis_report(tally, epsilon=args.epsilon, delta=args.delta,
                                    bell1964=args.bell1964, input_path=str(path),
@@ -261,6 +266,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> tuple[dict, int]:
+    from .oracle import verify_necessary_conditions
+
     report = verify_necessary_conditions(args.n_per_setting, cap=args.cap)
     return report.to_dict(), EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 

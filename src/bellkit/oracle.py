@@ -39,8 +39,9 @@ import sys
 import time
 from typing import Iterator, NamedTuple
 
-from .errors import DomainError, EnumerationCapError
-from .stats import chsh_numerator, chsh_statistic, max_strength, sprime_counts, thresholds
+from . import stats
+from .errors import DEFAULT_CAP, DomainError, EnumerationCapError
+from .stats import chsh_numerator, max_strength, sprime_counts, thresholds
 from .trials import TallyTable
 
 CONDITIONS = (
@@ -50,8 +51,6 @@ CONDITIONS = (
     "sprime_bounds",
     "uniformity_no_violation",
 )
-
-DEFAULT_CAP = 10**8
 
 
 class CounterexampleReport(NamedTuple):
@@ -83,7 +82,7 @@ class CounterexampleReport(NamedTuple):
 
 def _checked_size(n_per_setting: int, cap: int) -> int:
     """n_per_setting, once it is an int >= 1 whose (n_per_setting + 1)^4 tallies fit under cap
-    and whose slab of n_per_setting + 1 tallies fits in a list (at most sys.maxsize)."""
+    and number at most sys.maxsize, so that every slab, and the count of them, fits in a list."""
     q = n_per_setting
     if isinstance(q, bool) or not isinstance(q, int):
         raise DomainError(f"n_per_setting must be an integer, got {type(q).__name__}")
@@ -91,8 +90,8 @@ def _checked_size(n_per_setting: int, cap: int) -> int:
         raise DomainError(f"n_per_setting must be >= 1, got {q}")
     if (q + 1) ** 4 > cap:
         raise EnumerationCapError(f"enumeration of ({q} + 1)^4 tallies exceeds cap {cap}")
-    if q + 1 > sys.maxsize:
-        raise EnumerationCapError(f"a slab of {q} + 1 tallies exceeds sys.maxsize {sys.maxsize}")
+    if (q + 1) ** 4 > sys.maxsize:
+        raise EnumerationCapError(f"enumeration of ({q} + 1)^4 tallies exceeds sys.maxsize {sys.maxsize}")
     return q
 
 
@@ -134,7 +133,8 @@ def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> C
 
     def check_violating(corr: tuple[int, int, int, int], x: int) -> None:
         tally = TallyTable(q, q, q, q, *corr)
-        sigma = chsh_statistic(tally).sigma
+        # read from stats at each call, so a wrapper set there later (a tracer's) sees it
+        sigma = stats.chsh_statistic(tally).sigma
         # Delta = S - 2 = 2X/abcd
         (skew_num, skew_den), (floor_num, floor_den) = thresholds(n_total, 2 * x, abcd)
         eps_num, eps_den = max_strength(settings, corr)

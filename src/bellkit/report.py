@@ -5,9 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import __version__
-from .bounds import BoundsReport, NoSignallingReport, as_exact, bounds_report, nosignalling_deltas
-from .stats import Bell1964Result, ChshSummary, chsh_statistic
+from . import __version__, bounds, stats
+from .bounds import BoundsReport, NoSignallingReport, as_exact
+from .stats import Bell1964Result, ChshSummary
 from .trials import TallyTable
 
 
@@ -79,11 +79,13 @@ def build_analysis_report(
 ) -> AnalysisReport:
     """Run the full analysis pipeline on a validated tally."""
     eps = as_exact(epsilon) if epsilon is not None else None
+    # the three stages are read from their modules at each call, so a wrapper set
+    # there after this module loaded (a tracer's) sees them
     return AnalysisReport(
         tally=tally,
-        chsh=chsh_statistic(tally),
-        nosignalling=nosignalling_deltas(tally),
-        bounds=bounds_report(tally, delta=delta, epsilon=epsilon),
+        chsh=stats.chsh_statistic(tally),
+        nosignalling=bounds.nosignalling_deltas(tally),
+        bounds=bounds.bounds_report(tally, delta=delta, epsilon=epsilon),
         bell1964=bell1964,
         epsilon_requested=eps,
         metadata={

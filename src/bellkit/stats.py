@@ -69,15 +69,18 @@ def skew_counts(corr: tuple[int, int, int, int]) -> tuple[int, int, int]:
     return n_max - n_min, n_max, n_min
 
 
-def sprime_counts(corr: tuple[int, int, int, int]) -> tuple[int, int, int]:
+def sprime_counts(
+    corr: tuple[int, int, int, int], known_skew: tuple[int, int, int] | None = None
+) -> tuple[int, int, int]:
     """S' = n00 + n01 + n10 - n11 of the four correlated counts, and its skew bounds.
 
     Returns (s_prime, s_prime_max, s_prime_min) with
     s_prime_max = 2*n_min + 3*sigma = 3*n_max - n_min and
-    s_prime_min = 2*n_min - sigma = 3*n_min - n_max.
+    s_prime_min = 2*n_min - sigma = 3*n_min - n_max. known_skew, when given,
+    is skew_counts(corr), so a caller that holds it does not compute it twice.
     """
     n00, n01, n10, n11 = corr
-    sigma, _, n_min = skew_counts(corr)
+    sigma, _, n_min = known_skew or skew_counts(corr)
     return n00 + n01 + n10 - n11, 2 * n_min + 3 * sigma, 2 * n_min - sigma
 
 
@@ -159,31 +162,18 @@ def chsh_statistic(t: TallyTable) -> ChshSummary:
     """Compute the full CHSH summary for a tally with all cells populated.
 
     S = E00 + E01 + E10 - E11; a violation is the strict inequality S > 2,
-    decided on the exact rational value.
+    decided on the exact rational value p/q in integers.
     """
     s_exact = chsh_exact(t)
     p, q = s_exact.numerator, s_exact.denominator
-    e_values = [_correlation(n, m) for n, m in zip(t.corr_counts, t.setting_counts)]
-    sigma, n_max, n_min = skew(t)
-    s_prime, s_prime_max, s_prime_min = sprime_counts(t.corr_counts)
-    violated = s_exact > 2
-    return ChshSummary(
-        e00=e_values[0],
-        e01=e_values[1],
-        e10=e_values[2],
-        e11=e_values[3],
-        s=float(s_exact),
-        s_exact=s_exact,
-        sigma=sigma,
-        n_max=n_max,
-        n_min=n_min,
-        s_prime=s_prime,
-        s_prime_max=s_prime_max,
-        s_prime_min=s_prime_min,
-        violated=violated,
-        # float(s_exact - 2) bit for bit, as int / int is correctly rounded
-        violation_magnitude=(p - 2 * q) / q if violated else 0.0,
-    )
+    corr = t.corr_counts
+    shape = skew_counts(corr)
+    violated = p > 2 * q
+    # p / q and (p - 2q) / q are float(s_exact) and float(s_exact - 2) bit for bit,
+    # as int / int is correctly rounded
+    return ChshSummary(*map(_correlation, corr, t.setting_counts), p / q, s_exact,
+                       *shape, *sprime_counts(corr, shape), violated,
+                       (p - 2 * q) / q if violated else 0.0)
 
 
 class Bell1964Result(NamedTuple):

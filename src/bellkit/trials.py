@@ -53,13 +53,15 @@ _PARSED_MAX = 1024
 _SLICE_LINES = 1 << 13
 
 
-def _check_count(label: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"count '{label}' must be an integer, got {value!r}")
-    if value < 0:
-        raise DomainError(f"count '{label}' must be nonnegative, got {value}")
-    if value > COUNT_MAX:
-        raise OverflowError(f"count '{label}' exceeds 64-bit count capacity: {value}")
+def _check_counts(record: tuple) -> None:
+    """Raise for the first field of record that is not an int (bools excluded) in 0..COUNT_MAX."""
+    for label, value in zip(record._fields, record):
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise DomainError(f"count '{label}' must be an integer, got {value!r}")
+        if value < 0:
+            raise DomainError(f"count '{label}' must be nonnegative, got {value}")
+        if value > COUNT_MAX:
+            raise OverflowError(f"count '{label}' exceeds 64-bit count capacity: {value}")
 
 
 class Checked:
@@ -114,23 +116,19 @@ class TallyTable(Checked, namedtuple("TallyTable", CELL_LABELS + CORR_LABELS, de
     __slots__ = ()
 
     def _check(self):
-        for label, value in zip(self._fields, self):
-            _check_count(label, value)
-        errors = [
-            f"{corr}={n} exceeds {cell}={count}"
-            for cell, corr, count, n in zip(
-                CELL_LABELS, CORR_LABELS, self.setting_counts, self.corr_counts
-            )
-            if n > count
-        ]
-        if errors:
-            raise InvariantError("; ".join(errors))
+        _check_counts(self)
+        a, b, c, d, n00, n01, n10, n11 = self
+        if n00 > a or n01 > b or n10 > c or n11 > d:
+            raise InvariantError("; ".join(
+                f"{corr}={n} exceeds {cell}={count}"
+                for cell, corr, count, n in zip(CELL_LABELS, CORR_LABELS, self[:4], self[4:])
+                if n > count
+            ))
 
     def require_populated(self) -> None:
         """Raise EmptyCellError naming the first setting cell with zero trials."""
-        for cell, count in zip(CELL_LABELS, self.setting_counts):
-            if count == 0:
-                raise EmptyCellError(cell)
+        if 0 in self[:4]:
+            raise EmptyCellError(CELL_LABELS[self.index(0)])
 
     @property
     def total_trials(self) -> int:
@@ -173,8 +171,7 @@ class ThreeSettingTally(Checked, namedtuple("ThreeSettingTally", "n_ac n_ba n_bc
     __slots__ = ()
 
     def _check(self):
-        for name, value in zip(self._fields, self):
-            _check_count(name, value)
+        _check_counts(self)
         for pair, n, total in zip(("ac", "ba", "bc"), self[:3], self[3:]):
             if n > total:
                 raise InvariantError(f"n_{pair}={n} exceeds N_{pair}={total}")

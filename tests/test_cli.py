@@ -415,8 +415,10 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (["analyze", "--trials", "{deep}"], 1),
     (SIMULATE + ["{deep}"], 2),
     (["oracle", "--n-per-setting", "9" * 1200], 2),
-    # (10^20 + 1)^4 fits under the cap, but a slab of 10^20 + 1 tallies exceeds sys.maxsize
+    # (K + 1)^4 fits under the cap but exceeds sys.maxsize; at K = 2^63 - 2 the slab of
+    # K + 1 = sys.maxsize tallies fits, but itertools.product cannot hold range(K + 1)
     (["oracle", "--n-per-setting", str(10**20), "--cap", str(10**90)], 2),
+    (["oracle", "--n-per-setting", str(2**63 - 2), "--cap", str(10**90)], 2),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{missing}/out.json"], 1),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
       "--emit-trials", "{missing}/trials.jsonl"], 1),
@@ -441,7 +443,7 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
         "delta-overflows-float", "epsilon-overflows-float", "epsilon-underflows-float",
         "delta-underflows-float", "epsilon-huge-exponent", "delta-5000-digits",
         "tally-deep-json", "trials-deep-json",
-        "config-deep-json", "oracle-huge-k", "oracle-slab-past-maxsize",
+        "config-deep-json", "oracle-huge-k", "oracle-slab-past-maxsize", "oracle-pool-past-maxsize",
         "out-missing-dir", "emit-missing-dir",
         "emit-is-out", "emit-links-to-out", "emit-and-out-dev-null",
         "seed-negative", "seed-above-64-bit", "trials-zero", "cap-zero",
@@ -579,14 +581,20 @@ class TestTopLevel:
         assert (before, after, same) == (False, True, True)
 
     @pytest.mark.parametrize("argv, code, unloaded", [
-        (["analyze", "--tally", "tally.json"], 3, ["dataclasses", "inspect"]),
-        (["oracle", "--n-per-setting", "2"], 0, ["dataclasses", "inspect", "hashlib"]),
+        (["--version"], 0, ["bellkit.stats", "bellkit.bounds", "bellkit.oracle", "bellkit.report",
+                            "fractions", "decimal"]),
+        (["analyze", "--tally", "tally.json"], 3, ["dataclasses", "inspect", "bellkit.oracle"]),
+        (["oracle", "--n-per-setting", "2"], 0,
+         ["dataclasses", "inspect", "hashlib", "bellkit.bounds", "bellkit.report"]),
         (["simulate", "--model", "lhv", "--trials", "8", "--out", "out.json"], 0,
-         ["hashlib", "concurrent.futures"]),
-    ], ids=["analyze", "oracle", "simulate"])
+         ["hashlib", "concurrent.futures", "bellkit.stats", "bellkit.bounds", "bellkit.oracle",
+          "bellkit.report", "fractions", "decimal"]),
+    ], ids=["version", "analyze", "oracle", "simulate"])
     def test_command_starts_without_unused_modules(self, tmp_path, argv, code, unloaded):
         """Records are named tuples, so no command loads dataclasses or the inspect it pulls
-        in; only analyze loads hashlib, and only a run of two or more shards its thread pool."""
+        in; only analyze loads hashlib, and only a run of two or more shards its thread pool.
+        Each command loads only the bellkit modules it runs: --version none but errors and
+        trials, and simulate none of the exact statistics."""
         write_tally(tmp_path / "tally.json", TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0))
         script = (
             "import contextlib, io, json, sys\n"

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import bellkit.oracle
+import bellkit.stats
 from bellkit import (
     DomainError,
     EnumerationCapError,
@@ -28,8 +30,9 @@ from bellkit.stats import thresholds
 def per_tally_verify(q):
     """(checked, counterexamples) with every condition checked on one tally
     at a time: the reference for verify_necessary_conditions, which walks
-    the enumeration by slabs. Its helpers are read from bellkit.oracle, so a
-    test that patches one there patches both."""
+    the enumeration by slabs. Its helpers are read where the oracle reads
+    them, chsh_statistic from bellkit.stats and the rest from bellkit.oracle,
+    so a test that patches one there patches both."""
     oracle = bellkit.oracle
     settings, n_total, abcd = (q, q, q, q), 4 * q, q**4
     checked = 0
@@ -43,7 +46,7 @@ def per_tally_verify(q):
         if x <= 0:
             continue
         tally = TallyTable(q, q, q, q, *corr)
-        sigma = oracle.chsh_statistic(tally).sigma
+        sigma = bellkit.stats.chsh_statistic(tally).sigma
         (skew_num, skew_den), (floor_num, floor_den) = oracle.thresholds(n_total, 2 * x, abcd)
         eps_num, eps_den = oracle.max_strength(settings, corr)
         if sigma == 0:
@@ -128,7 +131,7 @@ class TestVerification:
             summarized.append(tally)
             return chsh_statistic(tally)
 
-        monkeypatch.setattr(bellkit.oracle, "chsh_statistic", counted)
+        monkeypatch.setattr(bellkit.stats, "chsh_statistic", counted)
         assert verify_necessary_conditions(q).ok
         tallies = [TallyTable(q, q, q, q, *corr) for corr in itertools.product(range(q + 1), repeat=4)]
         violating = [t for t in tallies if chsh_exact(t) > 2]
@@ -145,13 +148,18 @@ class TestVerification:
             verify_necessary_conditions(10**30)
 
     def test_slab_past_maxsize_refused(self):
-        # under a cap no K reaches, a slab longer than sys.maxsize is still refused before
-        # any enumerator is built; K = sys.maxsize - 1 is checked but never enumerated
+        # under a cap no K reaches, an enumeration of more than sys.maxsize tallies is
+        # still refused before any enumerator is built; the largest K admitted has
+        # (K + 1)^4 <= sys.maxsize, and is checked but never enumerated
         with pytest.raises(EnumerationCapError, match="sys.maxsize"):
             verify_necessary_conditions(10**20, cap=10**90)
         with pytest.raises(EnumerationCapError, match="sys.maxsize"):
             bellkit.oracle._checked_size(sys.maxsize, 10**90)
-        assert bellkit.oracle._checked_size(sys.maxsize - 1, 10**90) == sys.maxsize - 1
+        largest = math.isqrt(math.isqrt(sys.maxsize)) - 1
+        assert (largest + 1) ** 4 <= sys.maxsize < (largest + 2) ** 4
+        assert bellkit.oracle._checked_size(largest, 10**90) == largest
+        with pytest.raises(EnumerationCapError, match="sys.maxsize"):
+            bellkit.oracle._checked_size(largest + 1, 10**90)
 
     @staticmethod
     def patch_thresholds(monkeypatch, replace):
@@ -165,7 +173,7 @@ class TestVerification:
         def patched(n_total, num, den):
             return replace(seen[-1], thresholds(n_total, num, den))
 
-        monkeypatch.setattr(bellkit.oracle, "chsh_statistic", summarized)
+        monkeypatch.setattr(bellkit.stats, "chsh_statistic", summarized)
         monkeypatch.setattr(bellkit.oracle, "thresholds", patched)
 
     @pytest.mark.parametrize("q", [2, 5])

@@ -158,6 +158,18 @@ class TestFloatsMatchExactRationals:
         expected = float(summary.s_exact - 2) if summary.s_exact > 2 else 0.0
         assert summary.violation_magnitude == expected
 
+    @given(populated_tallies(COUNT_MAX), st.booleans())
+    @example(TallyTable(a=3, b=3, c=3, d=3, n00=3, n01=3, n10=3, n11=3), False)  # S = 2 exactly
+    @example(TallyTable(a=1, b=2, c=3, d=4, n00=1, n01=2, n10=3, n11=4), False)  # S = 2 exactly
+    @example(TallyTable(a=COUNT_MAX, b=COUNT_MAX, c=COUNT_MAX, d=COUNT_MAX,
+                        n00=COUNT_MAX, n01=COUNT_MAX, n10=COUNT_MAX, n11=COUNT_MAX - 1), False)
+    def test_s_and_violation_from_the_exact_value(self, t, full):
+        if full:  # n00 = a, n01 = b, n10 = c: S = 4 - 2*n11/d, above 2 unless n11 = d
+            t = t._replace(n00=t.a, n01=t.b, n10=t.c)
+        summary = chsh_statistic(t)
+        assert summary.s == float(summary.s_exact)
+        assert summary.violated == (summary.s_exact > 2)
+
 
 class TestIntegerForms:
     """The integer forms the oracle screens every tally with, against the TallyTable statistics."""

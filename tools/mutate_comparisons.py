@@ -54,6 +54,8 @@ ALLOWED = {
         "a word at d1 = 2^63 lies in the arc test's margin, so the float expression decides it",
     ("stats", "num * best_den > best_num * den", ">"):
         "on a tie the kept strength equals the new one, so the maximum is the same",
+    ("oracle", "(q + 1) ** 4 > sys.maxsize", ">"):
+        "sys.maxsize, 2^63 - 1 or 2^31 - 1, is no fourth power, so > and >= agree",
 }
 
 
