@@ -1,11 +1,14 @@
 """Necessary conditions for CHSH violation and the no-signalling analysis.
 
-Built on stats' integer core. All threshold comparisons here are strict
-inequalities evaluated in exact rational arithmetic. Every tolerance and
-magnitude goes through as_exact, the number rule the CLI's --epsilon and
---delta share; a float is read through its shortest decimal (0.01 means
-1/100, not the nearest binary double), so integer thresholds like the
-minimum trial count land exactly where the decimal value puts them.
+Built on stats' integer core. The achieved Delta = max(0, S - 2) comes
+from chsh_exact, and the achieved epsilon is the largest strength of the
+twelve deltas nosignalling_deltas lists. All threshold comparisons here
+are strict inequalities evaluated in exact rational arithmetic. Every
+tolerance and magnitude goes through as_exact, the number rule the CLI's
+--epsilon and --delta share; a float is read through its shortest decimal
+(0.01 means 1/100, not the nearest binary double), so integer thresholds
+like the minimum trial count land exactly where the decimal value puts
+them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .stats import chsh_numerator, max_strength, strength, thresholds, violation_possible_counts
+from .stats import chsh_exact, strength, thresholds, violation_possible_counts
 from .trials import CELL_LABELS, TallyTable
 
 # Unordered setting-cell pairs whose comparison is a physical marginal
@@ -98,16 +101,11 @@ class NoSignallingReport(NamedTuple):
         return tuple(d for d in self.deltas if d.strength_exact >= eps)
 
 
-def epsilon_achieved(settings: tuple[int, int, int, int], corr: tuple[int, int, int, int]) -> Fraction:
-    """Achieved epsilon: the largest pair strength over the setting cells, as one Fraction."""
-    return Fraction(*max_strength(settings, corr))
-
-
 def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
     """Marginal probability differences for all ordered cell pairs.
 
     Requires every setting cell populated. The achieved epsilon is the
-    largest pair strength, from epsilon_achieved.
+    largest strength among the twelve deltas listed.
     """
     t.require_populated()
     counts, corr = t.setting_counts, t.corr_counts
@@ -126,7 +124,7 @@ def nosignalling_deltas(t: TallyTable) -> NoSignallingReport:
                 physical=frozenset((alpha, beta)) in PHYSICAL_PAIRS,
             )
         )
-    achieved = epsilon_achieved(counts, corr)
+    achieved = max(d.strength_exact for d in deltas)
     return NoSignallingReport(
         deltas=tuple(deltas),
         epsilon_achieved=float(achieved),
@@ -208,20 +206,13 @@ class BoundsReport(NamedTuple):
 def bounds_report(t: TallyTable, delta=None, epsilon=None) -> BoundsReport:
     """Assemble the necessity thresholds for a tally.
 
-    delta defaults to the achieved violation magnitude max(0, S - 2), which
-    needs every setting cell populated: with X the chsh_numerator less abcd,
-    it is 2*max(0, X)/abcd. epsilon, when given, is the requested
-    no-signalling tolerance.
+    delta defaults to the achieved violation magnitude max(0, S - 2), with S
+    from chsh_exact, which needs every setting cell populated. epsilon, when
+    given, is the requested no-signalling tolerance.
     """
     n_total = t.total_trials
-    if delta is None:
-        t.require_populated()
-        a, b, c, d = t.setting_counts
-        den = a * b * c * d
-        num = 2 * max(0, chsh_numerator(t.setting_counts, t.corr_counts) - den)
-    else:
-        magnitude = _magnitude(delta)
-        num, den = magnitude.numerator, magnitude.denominator
+    magnitude = max(0, chsh_exact(t) - 2) if delta is None else _magnitude(delta)
+    num, den = magnitude.numerator, magnitude.denominator
     skew_bound, floor_bound = thresholds(n_total, num, den)
     floor = Fraction(*floor_bound)
     eps_for_n = as_exact(epsilon) if epsilon is not None else (floor if floor > 0 else None)

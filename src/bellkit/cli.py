@@ -103,26 +103,22 @@ def _bell1964_flag(text: str) -> Bell1964Result:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_flag(low: int, high: float, requirement: str):
+    """An argparse type: an integer in low..high."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _seed_flag(text: str) -> int:
-    """An argparse type: a seed, an integer in 0..SEED_MAX."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value <= SEED_MAX:
-        raise argparse.ArgumentTypeError(f"must be an integer in 0..2^64 - 1, got {text!r}")
-    return value
+_positive_int = _int_flag(1, float("inf"), "an integer >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="station-1 and station-2 measurement angles in radians",
     )
     sim.add_argument("--trials", type=_positive_int)
-    sim.add_argument("--seed", type=_seed_flag)
+    sim.add_argument("--seed", type=_int_flag(0, SEED_MAX, "an integer in 0..2^64 - 1"))
     sim.add_argument("--settings", choices=["uniform", "round-robin"])
     sim.add_argument("--flip-station2", action="store_true", default=None)
     sim.add_argument("--out", type=Path, required=True, help="tally JSON output path")

@@ -15,19 +15,21 @@ tallies that share (n00, n01, n10) while n11 runs over 0..q. `checked`
 still counts every tally the enumerator yields. Each slab is screened in
 integers. Both S' slacks are convex and piecewise linear in n11, with kinks
 at the least and the greatest of n00, n01 and n10, so the S' bounds are
-checked at n11 = 0, those two kinks and q; a slab that fails at any of them
-is checked tally by tally. S > 2 is X = chsh_numerator - abcd being
-positive, and X falls by abc per unit of n11, so the violating tallies are
-a prefix of the slab. The other four conditions all read "S > 2 implies
-...", so only a tally of that prefix becomes a TallyTable and goes through
-chsh_statistic, the analyzer's summary, which gives sigma.
+checked at n11 = 0, those two kinks and q. S > 2 is X = chsh_numerator -
+abcd being positive, and X falls by abc per unit of n11, so the violating
+tallies are a prefix of the slab. Each slab runs one loop: over that
+prefix when S' holds at the four kinks, and over the whole slab, with S'
+checked at every tally, otherwise. The other four conditions all read
+"S > 2 implies ...", so only a tally of the prefix becomes a TallyTable
+and goes through chsh_statistic, the analyzer's summary, which gives sigma.
 The two thresholds are the (numerator, denominator) pairs of
 stats.thresholds at Delta = 2X/abcd, the one statement from which
 bounds_report builds the required_skew and epsilon_floor that `analyze`
 prints; the oracle compares against them by cross-multiplication, with
-the achieved epsilon's own pair from stats.max_strength, so it checks
-what a user reads without building a Fraction; every count form it reads
-is in stats' integer core. Exact arithmetic matters: several conditions
+the achieved epsilon's pair from stats.max_strength, the integer form of
+the largest strength nosignalling_deltas lists, so it checks what a user
+reads without building a Fraction; every count form it reads is in stats'
+integer core. Exact arithmetic matters: several conditions
 sit on strict-inequality boundaries (S exactly 2) where floating point
 could manufacture or hide a counterexample.
 """
@@ -118,11 +120,12 @@ def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> C
     """Check every condition on every enumerated tally; report failures verbatim.
 
     The enumeration is taken one (n00, n01, n10) slab at a time, as the
-    module docstring sets out: the S' bounds are checked at the slab's
-    kinks, or at every tally if one of those fails, and only the violating
-    prefix is pushed through chsh_statistic, so the conditions that only
-    bind under a violation read the sigma that analyze prints, and its
-    thresholds are decided on the integer pairs of thresholds.
+    module docstring sets out: one loop per slab walks the violating prefix
+    when the S' bounds hold at the slab's kinks, or every tally if one of
+    those fails, and only the violating prefix is pushed through
+    chsh_statistic, so the conditions that only bind under a violation read
+    the sigma that analyze prints, and its thresholds are decided on the
+    integer pairs of thresholds.
     """
     started = time.perf_counter()
     q = _checked_size(n_per_setting, cap)
@@ -130,41 +133,35 @@ def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> C
     n_total = 4 * q
     abc, abcd = q**3, q**4
     failures: list[tuple[TallyTable, str]] = []
-
-    def check_violating(corr: tuple[int, int, int, int], x: int) -> None:
-        tally = TallyTable(q, q, q, q, *corr)
-        # read from stats at each call, so a wrapper set there later (a tracer's) sees it
-        sigma = stats.chsh_statistic(tally).sigma
-        # Delta = S - 2 = 2X/abcd
-        (skew_num, skew_den), (floor_num, floor_den) = thresholds(n_total, 2 * x, abcd)
-        eps_num, eps_den = max_strength(settings, corr)
-        if sigma == 0:
-            failures.append((tally, "uniformity_no_violation"))
-        if sigma < 1:
-            failures.append((tally, "sigma_ge_1"))
-        if not sigma * skew_den > skew_num:
-            failures.append((tally, "sigma_gt_NDelta_24"))
-        if not eps_num * floor_den > floor_num * eps_den:
-            failures.append((tally, "eps_gt_Delta_12"))
-
     checked = 0
     tallies = enumerate_uniform_tallies(q, cap=cap)
     while slab := list(itertools.islice(tallies, q + 1)):
         checked += len(slab)
         n00, n01, n10, _ = slab[0]
         lo, hi = min(n00, n01, n10), max(n00, n01, n10)
-        # X = x0 - n11*abc is positive exactly for n11 <= (x0 - 1) // abc
+        # X = x0 - n11*abc is positive exactly for n11 <= last; -1 when no tally violates
         x0 = chsh_numerator(settings, slab[0]) - abcd
-        violating = range(min(q, (x0 - 1) // abc) + 1)
-        if all(map(_sprime_holds, (slab[0], slab[lo], slab[hi], slab[q]))):
-            for n11 in violating:
-                check_violating(slab[n11], x0 - n11 * abc)
-            continue
-        for n11, corr in enumerate(slab):
-            if not _sprime_holds(corr):
-                failures.append((TallyTable(q, q, q, q, *corr), "sprime_bounds"))
-            if n11 in violating:
-                check_violating(corr, x0 - n11 * abc)
+        last = max(-1, min(q, (x0 - 1) // abc))
+        sprime_holds = all(map(_sprime_holds, (slab[0], slab[lo], slab[hi], slab[q])))
+        for n11, corr in enumerate(slab[: last + 1] if sprime_holds else slab):
+            tally = TallyTable(q, q, q, q, *corr)
+            if not (sprime_holds or _sprime_holds(corr)):
+                failures.append((tally, "sprime_bounds"))
+            if n11 > last:
+                continue
+            # read from stats at each call, so a wrapper set there later (a tracer's) sees it
+            sigma = stats.chsh_statistic(tally).sigma
+            # Delta = S - 2 = 2X/abcd
+            (skew_num, skew_den), (floor_num, floor_den) = thresholds(n_total, 2 * (x0 - n11 * abc), abcd)
+            eps_num, eps_den = max_strength(settings, corr)
+            if sigma == 0:
+                failures.append((tally, "uniformity_no_violation"))
+            if sigma < 1:
+                failures.append((tally, "sigma_ge_1"))
+            if not sigma * skew_den > skew_num:
+                failures.append((tally, "sigma_gt_NDelta_24"))
+            if not eps_num * floor_den > floor_num * eps_den:
+                failures.append((tally, "eps_gt_Delta_12"))
     return CounterexampleReport(
         checked=checked,
         counterexamples=tuple(failures),

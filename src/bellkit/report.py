@@ -26,11 +26,8 @@ class AnalysisReport(NamedTuple):
         """The JSON report; chsh, each delta and bell1964 are their records' fields."""
         ns = self.nosignalling
         b = self.bounds
-        ns_section = {
-            "epsilon_achieved": ns.epsilon_achieved,
-            "epsilon_achieved_exact": str(ns.epsilon_achieved_exact),
-            "deltas": [_record_dict(d, omit="strength_exact") for d in ns.deltas],
-        }
+        ns_section = {**_record_dict(ns, omit="deltas"),
+                      "deltas": [_record_dict(d, omit="strength_exact") for d in ns.deltas]}
         if self.epsilon_requested is not None:
             failing = ns.pairs_failing(self.epsilon_requested)
             ns_section["epsilon_requested"] = float(self.epsilon_requested)
@@ -85,7 +82,7 @@ def build_analysis_report(
         tally=tally,
         chsh=stats.chsh_statistic(tally),
         nosignalling=bounds.nosignalling_deltas(tally),
-        bounds=bounds.bounds_report(tally, delta=delta, epsilon=epsilon),
+        bounds=bounds.bounds_report(tally, delta=delta, epsilon=eps),
         bell1964=bell1964,
         epsilon_requested=eps,
         metadata={

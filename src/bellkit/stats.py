@@ -8,7 +8,10 @@ Fractions from them, and the oracle compares them by cross-multiplication.
 Ratio statistics are exact rationals rounded once to float, so strict
 comparisons such as S > 2 are decided on the exact value. S is one exact
 rational: an integer numerator over the product abcd of the cell counts.
-chsh_exact, skew and chsh_statistic apply the core to a tally.
+chsh_exact, skew and chsh_statistic apply the core to a tally; bounds
+takes the achieved Delta = max(0, S - 2) from chsh_exact. max_strength is
+the oracle's integer form of the achieved epsilon, which bounds reads as
+the largest strength of the twelve deltas it lists.
 """
 
 from __future__ import annotations
@@ -69,18 +72,15 @@ def skew_counts(corr: tuple[int, int, int, int]) -> tuple[int, int, int]:
     return n_max - n_min, n_max, n_min
 
 
-def sprime_counts(
-    corr: tuple[int, int, int, int], known_skew: tuple[int, int, int] | None = None
-) -> tuple[int, int, int]:
+def sprime_counts(corr: tuple[int, int, int, int]) -> tuple[int, int, int]:
     """S' = n00 + n01 + n10 - n11 of the four correlated counts, and its skew bounds.
 
     Returns (s_prime, s_prime_max, s_prime_min) with
     s_prime_max = 2*n_min + 3*sigma = 3*n_max - n_min and
-    s_prime_min = 2*n_min - sigma = 3*n_min - n_max. known_skew, when given,
-    is skew_counts(corr), so a caller that holds it does not compute it twice.
+    s_prime_min = 2*n_min - sigma = 3*n_min - n_max.
     """
     n00, n01, n10, n11 = corr
-    sigma, _, n_min = known_skew or skew_counts(corr)
+    sigma, _, n_min = skew_counts(corr)
     return n00 + n01 + n10 - n11, 2 * n_min + 3 * sigma, 2 * n_min - sigma
 
 
@@ -167,12 +167,11 @@ def chsh_statistic(t: TallyTable) -> ChshSummary:
     s_exact = chsh_exact(t)
     p, q = s_exact.numerator, s_exact.denominator
     corr = t.corr_counts
-    shape = skew_counts(corr)
     violated = p > 2 * q
     # p / q and (p - 2q) / q are float(s_exact) and float(s_exact - 2) bit for bit,
     # as int / int is correctly rounded
     return ChshSummary(*map(_correlation, corr, t.setting_counts), p / q, s_exact,
-                       *shape, *sprime_counts(corr, shape), violated,
+                       *skew_counts(corr), *sprime_counts(corr), violated,
                        (p - 2 * q) / q if violated else 0.0)
 
 

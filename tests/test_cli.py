@@ -353,8 +353,8 @@ class TestAnalyze:
         assert json.loads(stdout)["metadata"]["seed"] == 77
 
     @pytest.mark.parametrize("seed, echoed", [
-        (True, None), (-7, None), (2**64, None), (2**64 - 1, 2**64 - 1),
-    ], ids=["bool", "negative", "above-64-bit", "max"])
+        (True, None), (-7, None), (2**64, None), (2**64 - 1, 2**64 - 1), (0, 0),
+    ], ids=["bool", "negative", "above-64-bit", "max", "zero"])
     def test_only_a_valid_seed_is_echoed(self, capsys, tmp_path, seed, echoed):
         tally_path = tmp_path / "t.json"
         counts = TallyTable(a=4, b=4, c=4, d=4, n00=2, n01=2, n10=2, n11=2).to_dict()
@@ -429,11 +429,17 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}", "--seed", "-1"], "--seed"),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
       "--seed", str(2**64)], "--seed"),
+    (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
+      "--seed", str(2**64 - 1)], 0),
     (["simulate", "--model", "lhv", "--trials", "0", "--out", "{out}"], "--trials"),
     (["oracle", "--n-per-setting", "2", "--cap", "0"], "--cap"),
     # accepted by as_exact, but Delta/12 or N*Delta/24 would pass 4300 digits in the report
     (["analyze", "--tally", "{tally}", "--delta", "0." + "1" * 4299 + "3"], "--delta"),
     (["analyze", "--tally", "{tally}", "--delta", "1" * 4300 + "/2" + "0" * 4299], "--delta"),
+    # above 0, but 0 as a float
+    (["analyze", "--tally", "{tally}", "--delta", "1/1" + "0" * 400], "--delta"),
+    # a numerator of exactly 10^4280, one past the 4280 digits allowed
+    (["analyze", "--tally", "{tally}", "--delta", "1" + "0" * 4280 + "/" + "9" * 4280], "--delta"),
 ], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
         "trials-huge-int", "tally-huge-count",
         "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool",
@@ -446,8 +452,9 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
         "config-deep-json", "oracle-huge-k", "oracle-slab-past-maxsize", "oracle-pool-past-maxsize",
         "out-missing-dir", "emit-missing-dir",
         "emit-is-out", "emit-links-to-out", "emit-and-out-dev-null",
-        "seed-negative", "seed-above-64-bit", "trials-zero", "cap-zero",
-        "delta-4300-digits", "delta-4300-digit-numerator"])
+        "seed-negative", "seed-above-64-bit", "seed-max", "trials-zero", "cap-zero",
+        "delta-4300-digits", "delta-4300-digit-numerator", "delta-zero-as-float",
+        "delta-numerator-at-limit"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, expected):
     """expected is an exit code, or the flag that argparse must reject (exit 2)."""
     tally = tmp_path / "tally.json"

@@ -27,7 +27,6 @@ from bellkit import (
     merge_tallies,
     run_experiment,
 )
-from bellkit.bounds import epsilon_achieved
 from bellkit.cli import main
 from bellkit.rng import unit_doubles, unit_threshold
 from bellkit.simulate import (
@@ -38,6 +37,7 @@ from bellkit.simulate import (
     tally_for_range,
     trial_arrays,
 )
+from bellkit.stats import max_strength
 from bellkit.trials import load_tally
 
 
@@ -229,7 +229,7 @@ def test_paper_bounds_hold_exactly_on_simulated_tallies():
             violating += 1
             rates = [Fraction(n, m) for n, m in zip(t.corr_counts, t.setting_counts)]
             assert max(rates) - min(rates) >= delta / 2, t
-            assert epsilon_achieved(t.setting_counts, t.corr_counts) >= delta / 4, t
+            assert Fraction(*max_strength(t.setting_counts, t.corr_counts)) >= delta / 4, t
     assert violating >= 10
 
 
@@ -248,7 +248,7 @@ def test_epsilon_tends_to_its_maximal_violation_value(n):
     rng = random.Random(16)
     for _ in range(20):
         t = run_experiment(make_config(trials=n, seed=rng.getrandbits(64))).tally
-        epsilon = epsilon_achieved(t.setting_counts, t.corr_counts)
+        epsilon = Fraction(*max_strength(t.setting_counts, t.corr_counts))
         assert abs(epsilon - math.sqrt(2) / 4) < 4 / math.sqrt(n), (n, float(epsilon))
         assert epsilon > (chsh_exact(t) - 2) / 12
 

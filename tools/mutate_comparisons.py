@@ -33,7 +33,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bellkit"
 TESTS = sorted((ROOT / "tests").glob("test_*.py"))
-MODULES = ("bounds", "stats", "oracle", "rng", "simulate", "trials")
+MODULES = ("bounds", "stats", "oracle", "rng", "simulate", "trials", "cli")
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 TIMEOUT_S = 600
 
