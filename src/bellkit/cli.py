@@ -9,8 +9,9 @@ raises; only main prints, and it maps each error to its exit code.
 
 Each command imports the modules it runs inside the function or flag
 type that runs them: only simulation needs numpy, only analyze loads
-hashlib, report and bounds, and only oracle loads the oracle, so
---version loads no bellkit module but errors and trials.
+report and bounds, only analyze --trials loads hashlib, and only oracle
+loads the oracle, so --version loads no bellkit module but errors and
+trials.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator
 
 from . import __version__
-from .errors import DEFAULT_CAP, BellkitError, ConfigError, DomainError, EnumerationCapError
+from .errors import DEFAULT_CAP, BellkitError, ConfigError, DomainError, EnumerationCapError, ParseError
 from .trials import (
     SEED_MAX,
     TallyTable,
@@ -54,6 +55,11 @@ EXIT_COUNTEREXAMPLE = 4
 # numerator and denominator of a --delta that renders.
 DELTA_NUMERATOR_LIMIT = 10 ** (4300 - 20)
 DELTA_DENOMINATOR_LIMIT = 10 ** (4300 - 2)
+
+# A tally file and a --config document are each one JSON object, read whole;
+# bellkit writes a tally in under 300 bytes.
+TALLY_BYTES_MAX = 1 << 20
+CONFIG_BYTES_MAX = 1 << 20
 
 
 def _number_flag(accept, requirement: str):
@@ -181,13 +187,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_document(path: Path, limit: int, error: type[BellkitError]) -> bytes:
+    """The file's bytes, reading at most limit + 1 of them; raises error when it holds more than limit."""
+    with open(path, "rb") as handle:
+        data = handle.read(limit + 1)
+    if len(data) > limit:
+        raise error(f"{path} is over {limit} bytes")
+    return data
+
+
 def _assemble_config(args: argparse.Namespace) -> SimulationConfig:
     from .simulate import SimulationConfig
 
     data: dict = {}
     if args.config is not None:
         try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            loaded = json.loads(_read_document(args.config, CONFIG_BYTES_MAX, ConfigError).decode("utf-8"))
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -228,33 +243,53 @@ def _hashed_lines(text: IO[str], sha256) -> Iterator[str]:
         yield from batch
 
 
+def _builtin_sha256():
+    """CPython's own SHA-256 constructor, which maps no OpenSSL; hashlib's if neither module imports."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.11 and earlier
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def _load_input_tally(args: argparse.Namespace) -> tuple[TallyTable, Path, str, int | None]:
     """The input's tally, path, SHA-256 and recorded seed, from one read of its bytes.
 
-    Both readers read every line. Strict UTF-8 without newline translation
-    decodes one-to-one, so the hash of the parsed text's encoding is the
+    A tally file, at most TALLY_BYTES_MAX bytes, is read whole and hashed by
+    the builtin SHA-256, which spares a small file the cost of loading
+    OpenSSL. A trial file is read in batches and hashed by hashlib's OpenSSL
+    SHA-256, which is several times faster on a large file. Strict UTF-8
+    without newline translation decodes one-to-one, so either hash is the
     hash of the file's bytes.
     """
-    import hashlib
-
-    path = args.tally if args.tally is not None else args.trials
-    sha256 = hashlib.sha256()
     seed = None
-    with open(path, encoding="utf-8", newline="") as text:
-        lines = _hashed_lines(text, sha256)
-        if args.tally is not None:
-            tally, extras = load_tally(lines)
-            seed = extras.get("seed")
-        else:
+    if args.tally is not None:
+        path = args.tally
+        data = _read_document(path, TALLY_BYTES_MAX, ParseError)
+        digest = _builtin_sha256()(data).hexdigest()
+        tally, extras = load_tally((data.decode("utf-8"),))
+        seed = extras.get("seed")
+    else:
+        import hashlib
+
+        path = args.trials
+        sha256 = hashlib.sha256()
+        with open(path, encoding="utf-8", newline="") as text:
+            lines = _hashed_lines(text, sha256)
             tally = tally_from_trials(read_trials(lines, format=args.format, header=args.header))
+        digest = sha256.hexdigest()
     valid_seed = type(seed) is int and 0 <= seed <= SEED_MAX
-    return tally, path, sha256.hexdigest(), seed if valid_seed else None
+    return tally, path, digest, seed if valid_seed else None
 
 
 def cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
+    tally, path, sha256, seed = _load_input_tally(args)
+    # loaded after the input, so a refused file costs none of the report's modules
     from .report import build_analysis_report
 
-    tally, path, sha256, seed = _load_input_tally(args)
     report = build_analysis_report(tally, epsilon=args.epsilon, delta=args.delta,
                                    bell1964=args.bell1964, input_path=str(path),
                                    input_sha256=sha256, seed=seed)

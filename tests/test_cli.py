@@ -24,7 +24,7 @@ from bellkit import (
     write_tally,
 )
 from bellkit.bounds import as_exact
-from bellkit.cli import main
+from bellkit.cli import CONFIG_BYTES_MAX, TALLY_BYTES_MAX, main
 from bellkit.trials import trial_chunk_writer
 
 QUANTUM_MAX = ["--angles", "0,1.5707963267948966,0.7853981633974483,-0.7853981633974483"]
@@ -365,6 +365,8 @@ class TestAnalyze:
 
 
 NOT_UTF8 = b'{"s1":0,"s2":0,"o1":1,"o2":1}\n\xff\xfe\n'
+VALID_TALLY = b'{"a":4,"b":4,"c":4,"d":4,"n00":2,"n01":2,"n10":2,"n11":2}'
+VALID_CONFIG = b'{"model":"lhv","trials":8}'
 HUGE = "9" * 5000  # above Python's 4300-digit int conversion limit
 INPUTS = {
     "bad": NOT_UTF8,
@@ -378,6 +380,11 @@ INPUTS = {
     "scheme_long": b'{"model":"lhv","trials":8,"setting_scheme":"%s"}' % (b"x" * 5000),
     "angle_difference": b'{"model":"quantum","trials":8,"theta_a0":1e308,"theta_b0":-1e308}',
     "deep": b"[" * 100_000,  # nested past the JSON decoder's recursion limit
+    # valid documents padded with whitespace to their ceiling, and one byte past it
+    "tally_at_max": VALID_TALLY.ljust(TALLY_BYTES_MAX),
+    "tally_past_max": VALID_TALLY.ljust(TALLY_BYTES_MAX + 1),
+    "config_at_max": VALID_CONFIG.ljust(CONFIG_BYTES_MAX),
+    "config_past_max": VALID_CONFIG.ljust(CONFIG_BYTES_MAX + 1),
 }
 SIMULATE = ["simulate", "--out", "{out}", "--config"]
 
@@ -440,6 +447,10 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (["analyze", "--tally", "{tally}", "--delta", "1/1" + "0" * 400], "--delta"),
     # a numerator of exactly 10^4280, one past the 4280 digits allowed
     (["analyze", "--tally", "{tally}", "--delta", "1" + "0" * 4280 + "/" + "9" * 4280], "--delta"),
+    (["analyze", "--tally", "{tally_at_max}"], 0),
+    (["analyze", "--tally", "{tally_past_max}"], 1),
+    (SIMULATE + ["{config_at_max}"], 0),
+    (SIMULATE + ["{config_past_max}"], 2),
 ], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
         "trials-huge-int", "tally-huge-count",
         "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool",
@@ -454,7 +465,8 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
         "emit-is-out", "emit-links-to-out", "emit-and-out-dev-null",
         "seed-negative", "seed-above-64-bit", "seed-max", "trials-zero", "cap-zero",
         "delta-4300-digits", "delta-4300-digit-numerator", "delta-zero-as-float",
-        "delta-numerator-at-limit"])
+        "delta-numerator-at-limit", "tally-at-ceiling", "tally-past-ceiling",
+        "config-at-ceiling", "config-past-ceiling"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, expected):
     """expected is an exit code, or the flag that argparse must reject (exit 2)."""
     tally = tmp_path / "tally.json"
@@ -464,7 +476,8 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, expected):
     paths["link"].symlink_to(paths["out"])
     for name, data in INPUTS.items():
         paths[name] = tmp_path / f"{name}.txt"
-        paths[name].write_bytes(data)
+        if any(f"{{{name}}}" in arg for arg in argv):
+            paths[name].write_bytes(data)
     proc = run_module([arg.format(**paths) for arg in argv])
     rejected_flag = expected if isinstance(expected, str) else None
     assert proc.returncode == (2 if rejected_flag else expected), proc.stderr
@@ -481,6 +494,47 @@ def test_exit_code_contract_without_traceback(tmp_path, argv, expected):
         if arg.startswith("{missing}"):  # a failed write names its target, not a temporary file
             assert arg.format(**paths) in proc.stderr
             assert ".tmp" not in proc.stderr
+
+
+# Starts argv[3:] with stdout and stderr sent to the files argv[1] and argv[2], and
+# prints its exit code and ru_maxrss. It runs under `python -S`, smaller than any
+# bellkit call, because Linux carries the spawner's peak RSS into the child's at exec.
+SPAWNER = """import os, sys
+out, err, *argv = sys.argv[1:]
+flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+actions = [(os.POSIX_SPAWN_OPEN, 1, out, flags, 0o644), (os.POSIX_SPAWN_OPEN, 2, err, flags, 0o644)]
+pid = os.posix_spawn(argv[0], argv, os.environ, file_actions=actions)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, carried across exec")
+def test_oversized_tally_refused_in_bounded_memory(tmp_path):
+    """A 32 MiB one-line tally is refused from one read of TALLY_BYTES_MAX + 1 bytes, within
+    2 MiB of --version's peak; read whole, the line would add twice its size."""
+    huge = tmp_path / "huge.json"
+    with open(huge, "wb") as handle:
+        for _ in range(32):
+            handle.write(b"9" * (1 << 20))
+    src = str(Path(bellkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def peak_kib(*argv):
+        out, err = tmp_path / "out.txt", tmp_path / "err.txt"
+        proc = subprocess.run([sys.executable, "-S", "-c", SPAWNER, str(out), str(err),
+                               sys.executable, "-m", "bellkit.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, maxrss = map(int, proc.stdout.split())
+        return code, maxrss, out.read_text(), err.read_text()
+
+    version_code, version_kib, _, _ = peak_kib("--version")
+    assert version_code == 0
+    code, refused_kib, stdout, stderr = peak_kib("analyze", "--tally", str(huge))
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1, stderr
+    assert refused_kib <= version_kib + 2048, (refused_kib, version_kib)
 
 
 class TestOracleCommand:
@@ -587,22 +641,28 @@ class TestTopLevel:
         assert codes == [code for _, code in calls]
         assert (before, after, same) == (False, True, True)
 
-    @pytest.mark.parametrize("argv, code, unloaded", [
+    @pytest.mark.parametrize("argv, code, unloaded, loaded", [
         (["--version"], 0, ["bellkit.stats", "bellkit.bounds", "bellkit.oracle", "bellkit.report",
-                            "fractions", "decimal"]),
-        (["analyze", "--tally", "tally.json"], 3, ["dataclasses", "inspect", "bellkit.oracle"]),
+                            "fractions", "decimal"], []),
+        (["analyze", "--tally", "tally.json"], 3,
+         ["dataclasses", "inspect", "hashlib", "_hashlib", "bellkit.oracle"], []),
+        (["analyze", "--trials", "trials.jsonl"], 0, ["dataclasses", "inspect", "bellkit.oracle"],
+         ["hashlib"]),
         (["oracle", "--n-per-setting", "2"], 0,
-         ["dataclasses", "inspect", "hashlib", "bellkit.bounds", "bellkit.report"]),
+         ["dataclasses", "inspect", "hashlib", "bellkit.bounds", "bellkit.report"], []),
         (["simulate", "--model", "lhv", "--trials", "8", "--out", "out.json"], 0,
          ["hashlib", "concurrent.futures", "bellkit.stats", "bellkit.bounds", "bellkit.oracle",
-          "bellkit.report", "fractions", "decimal"]),
-    ], ids=["version", "analyze", "oracle", "simulate"])
-    def test_command_starts_without_unused_modules(self, tmp_path, argv, code, unloaded):
+          "bellkit.report", "fractions", "decimal"], []),
+    ], ids=["version", "analyze", "analyze-trials", "oracle", "simulate"])
+    def test_command_starts_without_unused_modules(self, tmp_path, argv, code, unloaded, loaded):
         """Records are named tuples, so no command loads dataclasses or the inspect it pulls
-        in; only analyze loads hashlib, and only a run of two or more shards its thread pool.
+        in; only `analyze --trials` loads hashlib (a tally file is hashed by the builtin
+        SHA-256, without OpenSSL), and only a run of two or more shards its thread pool.
         Each command loads only the bellkit modules it runs: --version none but errors and
         trials, and simulate none of the exact statistics."""
         write_tally(tmp_path / "tally.json", TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0))
+        (tmp_path / "trials.jsonl").write_text(
+            "".join(serialize_trial_line(TrialRecord(k >> 1, k & 1, 1, 1)) + "\n" for k in range(4)))
         script = (
             "import contextlib, io, json, sys\n"
             "argv, probe = json.loads(sys.argv[1])\n"
@@ -613,11 +673,11 @@ class TestTopLevel:
             "print(json.dumps([code, [m for m in probe if m in sys.modules and m not in preloaded]]))\n"
         )
         src = str(Path(bellkit.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps([argv, unloaded])],
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps([argv, unloaded + loaded])],
                               cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [code, []]
+        assert json.loads(proc.stdout) == [code, loaded]
 
     def test_no_module_imports_dataclasses(self):
         package = Path(bellkit.__file__).parent

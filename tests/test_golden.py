@@ -9,11 +9,15 @@ neither 2^16 nor 2^18, so the last chunk is always partial.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellkit
 from bellkit import CHSH_MAX_ANGLES, SimulationConfig, run_experiment
 from bellkit.cli import main
 from bellkit.rng import trial_keys, trial_words, unit_doubles
@@ -193,6 +197,14 @@ GOLDEN_ANALYZE = {
 }
 
 
+def golden_tally_text(name) -> str:
+    """The tally file `name` as the analyze golden pins read it."""
+    counts = dict(zip(("a", "b", "c", "d", "n00", "n01", "n10", "n11"), ANALYZE_TALLIES[name]))
+    if name in ANALYZE_SEEDS:
+        counts["seed"] = ANALYZE_SEEDS[name]
+    return json.dumps(counts, indent=2) + "\n"
+
+
 def analyze_golden(name, capsys) -> tuple[tuple[int, ...], str]:
     """Run analyze on the tally file `name` under every flag mix; exit codes and stdout digest."""
     codes = []
@@ -207,8 +219,37 @@ def analyze_golden(name, capsys) -> tuple[tuple[int, ...], str]:
 @pytest.mark.parametrize("name", sorted(ANALYZE_TALLIES))
 def test_golden_analyze_stdout(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    counts = dict(zip(("a", "b", "c", "d", "n00", "n01", "n10", "n11"), ANALYZE_TALLIES[name]))
-    if name in ANALYZE_SEEDS:
-        counts["seed"] = ANALYZE_SEEDS[name]
-    Path(name).write_text(json.dumps(counts, indent=2) + "\n", encoding="utf-8")
+    Path(name).write_text(golden_tally_text(name), encoding="utf-8")
     assert analyze_golden(name, capsys) == GOLDEN_ANALYZE[name]
+
+
+def test_builtin_sha256_matches_hashlib_on_every_import_path(tmp_path):
+    """analyze --tally hashes with _sha2 (Python 3.12+), else _sha256, else hashlib; each gives
+    hashlib's digest of every golden tally file and of a CRLF one. A child blocks _sha2, then
+    also _sha256, so each fallback the interpreter can reach runs."""
+    files = [golden_tally_text(name).encode() for name in sorted(ANALYZE_TALLIES)]
+    files.append(files[0].replace(b"\n", b"\r\n"))
+    for i, data in enumerate(files):
+        (tmp_path / f"{i}.json").write_bytes(data)
+    script = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from bellkit.cli import _builtin_sha256\n"
+        "results = []\n"
+        "for blocked in ([], ['_sha2'], ['_sha2', '_sha256']):\n"
+        "    sys.modules.update(dict.fromkeys(blocked, None))\n"
+        "    sha256 = _builtin_sha256()\n"
+        "    results.append([sha256.__module__, [sha256(Path(f'{i}.json').read_bytes()).hexdigest()\n"
+        "                                        for i in range(int(sys.argv[1]))]])\n"
+        "import hashlib\n"
+        "print(json.dumps([hashlib.sha256.__module__, results]))\n"
+    )
+    src = str(Path(bellkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, str(len(files))], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    hashlib_module, results = json.loads(proc.stdout)
+    expected = [hashlib.sha256(data).hexdigest() for data in files]
+    assert [digests for _, digests in results] == [expected] * 3
+    modules = [module for module, _ in results]
+    assert modules[0] in ("_sha2", "_sha256") and modules[2] == hashlib_module
