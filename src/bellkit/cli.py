@@ -1,8 +1,9 @@
 """Command-line front-end: simulate, analyze, oracle.
 
 Exit codes are part of the contract so shell pipelines can branch on
-outcomes: 0 success / no violation, 1 unreadable or invalid input,
-2 invalid flags or enumeration cap, 3 CHSH violation (S > 2),
+outcomes: 0 success / no violation, 1 unreadable or invalid input (a
+trial line over TRIAL_LINE_MAX characters included), 2 invalid flags or
+an oracle K >= 100, past its enumeration cap, 3 CHSH violation (S > 2),
 4 oracle counterexample. Argparse types check every flag, so a bad flag
 exits 2 before any work. Each cmd_* returns (payload, exit code) or
 raises; only main prints, and it maps each error to its exit code.
@@ -17,15 +18,17 @@ trials.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator
 
 from . import __version__
-from .errors import DEFAULT_CAP, BellkitError, ConfigError, DomainError, EnumerationCapError, ParseError
+from .errors import BellkitError, ConfigError, DomainError, EnumerationCapError, ParseError
 from .trials import (
     SEED_MAX,
+    TRIAL_LINE_MAX,
     TallyTable,
     ThreeSettingTally,
     atomic_target,
@@ -60,6 +63,8 @@ DELTA_DENOMINATOR_LIMIT = 10 ** (4300 - 2)
 # bellkit writes a tally in under 300 bytes.
 TALLY_BYTES_MAX = 1 << 20
 CONFIG_BYTES_MAX = 1 << 20
+# Characters of a trial file that analyze --trials reads, hashes and splits at a time.
+TRIAL_BLOCK_CHARS = 1 << 16
 
 
 def _number_flag(accept, requirement: str):
@@ -180,9 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(func=cmd_analyze)
 
     orc = sub.add_parser("oracle", help="Exhaustively verify the necessity conditions")
-    orc.add_argument("--n-per-setting", type=_positive_int, required=True)
-    orc.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                     help=f"enumeration size guard (default {DEFAULT_CAP})")
+    orc.add_argument("--n-per-setting", type=_positive_int, required=True, metavar="K",
+                     help="trials per setting; the oracle checks all (K + 1)^4 tallies, K <= 99")
     orc.set_defaults(func=cmd_oracle)
     return parser
 
@@ -237,10 +241,26 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _hashed_lines(text: IO[str], sha256) -> Iterator[str]:
-    """The lines of text, read in bounded batches; sha256 takes each batch's UTF-8 bytes."""
-    while batch := text.readlines(1 << 16):
-        sha256.update("".join(batch).encode("utf-8"))
-        yield from batch
+    """The lines of text, split as its readlines() splits them; sha256 takes each block's UTF-8 bytes.
+
+    text is read in blocks of TRIAL_BLOCK_CHARS characters. A block's last
+    line, when unfinished or ending in a \r that a \n may follow, is carried
+    into the next block. Once a block's complete lines are yielded, a carry
+    longer than TRIAL_LINE_MAX raises ParseError with its line number, so no
+    line is held whole; read_trials refuses each longer line exactly.
+    """
+    rest = ""
+    yielded = 0
+    while block := text.read(TRIAL_BLOCK_CHARS):
+        sha256.update(block.encode("utf-8"))
+        lines = io.StringIO(rest + block, newline="").readlines()
+        rest = "" if lines[-1].endswith("\n") else lines.pop()
+        yielded += len(lines)
+        yield from lines
+        if len(rest) > TRIAL_LINE_MAX:
+            raise ParseError(f"line is over {TRIAL_LINE_MAX} characters", yielded + 1)
+    if rest:
+        yield rest
 
 
 def _builtin_sha256():
@@ -260,7 +280,7 @@ def _load_input_tally(args: argparse.Namespace) -> tuple[TallyTable, Path, str, 
 
     A tally file, at most TALLY_BYTES_MAX bytes, is read whole and hashed by
     the builtin SHA-256, which spares a small file the cost of loading
-    OpenSSL. A trial file is read in batches and hashed by hashlib's OpenSSL
+    OpenSSL. A trial file is read in blocks and hashed by hashlib's OpenSSL
     SHA-256, which is several times faster on a large file. Strict UTF-8
     without newline translation decodes one-to-one, so either hash is the
     hash of the file's bytes.
@@ -299,7 +319,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_oracle(args: argparse.Namespace) -> tuple[dict, int]:
     from .oracle import verify_necessary_conditions
 
-    report = verify_necessary_conditions(args.n_per_setting, cap=args.cap)
+    report = verify_necessary_conditions(args.n_per_setting)
     return report.to_dict(), EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 

@@ -42,9 +42,4 @@ class ConfigError(BellkitError):
 
 
 class EnumerationCapError(BellkitError):
-    """An exhaustive enumeration would exceed the configured size cap."""
-
-
-# The oracle's default cap on its enumeration size, stated here because the
-# CLI's --cap help prints it without loading the oracle.
-DEFAULT_CAP = 10**8
+    """An exhaustive enumeration would exceed the oracle's size cap."""

@@ -1,8 +1,9 @@
 """Exhaustive verification of the necessity conditions on small tallies.
 
-Enumerates every uniform-settings tally (a=b=c=d) up to a given count per
-setting and checks, in exact arithmetic, that each derived inequality
-holds with zero counterexamples:
+Enumerates every uniform-settings tally (a=b=c=d) with K trials per
+setting, where K <= 99 keeps the (K + 1)^4 tallies within CAP = 10^8, and
+checks, in exact arithmetic, that each derived inequality holds with zero
+counterexamples:
 
   sigma_ge_1:               S > 2 implies sigma >= 1
   sigma_gt_NDelta_24:       S > 2 implies sigma > N*(S-2)/24
@@ -37,12 +38,11 @@ could manufacture or hide a counterexample.
 from __future__ import annotations
 
 import itertools
-import sys
 import time
 from typing import Iterator, NamedTuple
 
 from . import stats
-from .errors import DEFAULT_CAP, DomainError, EnumerationCapError
+from .errors import DomainError, EnumerationCapError
 from .stats import chsh_numerator, max_strength, sprime_counts, thresholds
 from .trials import TallyTable
 
@@ -53,6 +53,9 @@ CONDITIONS = (
     "sprime_bounds",
     "uniformity_no_violation",
 )
+
+# The most tallies one run enumerates: (K + 1)^4 <= CAP admits K <= 99.
+CAP = 10**8
 
 
 class CounterexampleReport(NamedTuple):
@@ -82,31 +85,26 @@ class CounterexampleReport(NamedTuple):
         }
 
 
-def _checked_size(n_per_setting: int, cap: int) -> int:
-    """n_per_setting, once it is an int >= 1 whose (n_per_setting + 1)^4 tallies fit under cap
-    and number at most sys.maxsize, so that every slab, and the count of them, fits in a list."""
+def _checked_size(n_per_setting: int) -> int:
+    """n_per_setting, once it is an int >= 1 whose (n_per_setting + 1)^4 tallies number at most CAP."""
     q = n_per_setting
     if isinstance(q, bool) or not isinstance(q, int):
         raise DomainError(f"n_per_setting must be an integer, got {type(q).__name__}")
     if q < 1:
         raise DomainError(f"n_per_setting must be >= 1, got {q}")
-    if (q + 1) ** 4 > cap:
-        raise EnumerationCapError(f"enumeration of ({q} + 1)^4 tallies exceeds cap {cap}")
-    if (q + 1) ** 4 > sys.maxsize:
-        raise EnumerationCapError(f"enumeration of ({q} + 1)^4 tallies exceeds sys.maxsize {sys.maxsize}")
+    if (q + 1) ** 4 > CAP:
+        raise EnumerationCapError(f"enumeration of ({q} + 1)^4 tallies exceeds cap {CAP}")
     return q
 
 
-def enumerate_uniform_tallies(
-    n_per_setting: int, cap: int = DEFAULT_CAP
-) -> Iterator[tuple[int, int, int, int]]:
+def enumerate_uniform_tallies(n_per_setting: int) -> Iterator[tuple[int, int, int, int]]:
     """The correlated counts (n00, n01, n10, n11) of every tally with
     a=b=c=d=n_per_setting, in lexicographic order.
 
     Yields (n_per_setting+1)^4 tuples; raises DomainError unless n_per_setting
-    is an int >= 1, and EnumerationCapError if the count exceeds cap.
+    is an int >= 1, and EnumerationCapError if the count exceeds CAP.
     """
-    q = _checked_size(n_per_setting, cap)
+    q = _checked_size(n_per_setting)
     yield from itertools.product(range(q + 1), repeat=4)
 
 
@@ -116,7 +114,7 @@ def _sprime_holds(corr: tuple[int, int, int, int]) -> bool:
     return s_prime_min <= s_prime <= s_prime_max
 
 
-def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> CounterexampleReport:
+def verify_necessary_conditions(n_per_setting: int) -> CounterexampleReport:
     """Check every condition on every enumerated tally; report failures verbatim.
 
     The enumeration is taken one (n00, n01, n10) slab at a time, as the
@@ -128,13 +126,13 @@ def verify_necessary_conditions(n_per_setting: int, cap: int = DEFAULT_CAP) -> C
     integer pairs of thresholds.
     """
     started = time.perf_counter()
-    q = _checked_size(n_per_setting, cap)
+    q = _checked_size(n_per_setting)
     settings = (q, q, q, q)
     n_total = 4 * q
     abc, abcd = q**3, q**4
     failures: list[tuple[TallyTable, str]] = []
     checked = 0
-    tallies = enumerate_uniform_tallies(q, cap=cap)
+    tallies = enumerate_uniform_tallies(q)
     while slab := list(itertools.islice(tallies, q + 1)):
         checked += len(slab)
         n00, n01, n10, _ = slab[0]

@@ -96,10 +96,11 @@ def unit_threshold(p: float) -> int:
 
 
 def shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
-    """Split [0, total) into `shards` contiguous index ranges.
+    """Split [0, total) into min(shards, total) contiguous index ranges.
 
-    Ranges differ in length by at most one and cover the interval exactly;
-    empty ranges are dropped when shards > total.
+    Ranges differ in length by at most one, cover the interval exactly and
+    are never empty: each gets base >= 1 trials when shards <= total, and
+    one of the extra = total trials otherwise.
     """
     if shards < 1:
         raise ValueError(f"shard count must be >= 1, got {shards}")
@@ -108,7 +109,6 @@ def shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
     start = 0
     for i in range(min(shards, total)):
         size = base + (1 if i < extra else 0)
-        if size:
-            ranges.append((start, start + size))
+        ranges.append((start, start + size))
         start += size
     return ranges

@@ -47,6 +47,8 @@ _LINE_TEMPLATES = {
     "csv": "%d,%d,%d,%d",
 }
 
+# The longest line read_trials takes, line end included; bellkit writes at most 32.
+TRIAL_LINE_MAX = 4096
 # Distinct lines whose records read_trials keeps, per call: a bound on its memory.
 _PARSED_MAX = 1024
 # Lines trial_chunk_writer renders per handle.write: a bound on the text it holds.
@@ -254,18 +256,19 @@ def read_trials(
     """Stream trial records from a text file object or an iterable of lines.
 
     Blank lines are skipped. With header=True the first line is skipped
-    (headerless CSV is the default contract). Parse failures carry the
-    1-based line number. Each of the first _PARSED_MAX distinct lines is
-    parsed once; a repeat of one yields the record parsed before.
+    (headerless CSV is the default contract). Any line over TRIAL_LINE_MAX
+    characters, even a header or a blank one, raises ParseError. Parse
+    failures carry the 1-based line number. Each of the first _PARSED_MAX
+    distinct lines is parsed once; a repeat of one yields the record parsed
+    before.
     """
-    numbered = enumerate(source, start=1)
-    if header:
-        next(numbered, None)
     parsed: dict[str, TrialRecord] = {}
-    for lineno, line in numbered:
+    for lineno, line in enumerate(source, start=1):
         rec = parsed.get(line)
         if rec is None:
-            if not line.strip():
+            if len(line) > TRIAL_LINE_MAX:
+                raise ParseError(f"line is over {TRIAL_LINE_MAX} characters", lineno)
+            if not line.strip() or (header and lineno == 1):
                 continue
             rec = parse_trial_line(line, format=format, line_number=lineno)
             if len(parsed) < _PARSED_MAX:

@@ -2,14 +2,18 @@
 
 import ast
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellkit
 import bellkit.cli
@@ -25,7 +29,7 @@ from bellkit import (
 )
 from bellkit.bounds import as_exact
 from bellkit.cli import CONFIG_BYTES_MAX, TALLY_BYTES_MAX, main
-from bellkit.trials import trial_chunk_writer
+from bellkit.trials import TRIAL_LINE_MAX, trial_chunk_writer
 
 QUANTUM_MAX = ["--angles", "0,1.5707963267948966,0.7853981633974483,-0.7853981633974483"]
 
@@ -368,6 +372,12 @@ NOT_UTF8 = b'{"s1":0,"s2":0,"o1":1,"o2":1}\n\xff\xfe\n'
 VALID_TALLY = b'{"a":4,"b":4,"c":4,"d":4,"n00":2,"n01":2,"n10":2,"n11":2}'
 VALID_CONFIG = b'{"model":"lhv","trials":8}'
 HUGE = "9" * 5000  # above Python's 4300-digit int conversion limit
+TRIAL = {"jsonl": b'{"s1":0,"s2":0,"o1":1,"o2":1}', "csv": b"0,0,1,1"}
+# a trial at each setting pair but 00 (the CSV under a header), so with a TRIAL line no cell is empty
+OTHER_CELLS = {
+    "jsonl": b'{"s1":0,"s2":1,"o1":1,"o2":1}\n{"s1":1,"s2":0,"o1":1,"o2":1}\n{"s1":1,"s2":1,"o1":1,"o2":1}\n',
+    "csv": b"s1,s2,o1,o2\n0,1,1,1\n1,0,1,1\n1,1,1,1\n",
+}
 INPUTS = {
     "bad": NOT_UTF8,
     "huge_trial": b'{"s1":%s,"s2":0,"o1":1,"o2":1}\n' % HUGE.encode(),
@@ -385,6 +395,12 @@ INPUTS = {
     "tally_past_max": VALID_TALLY.ljust(TALLY_BYTES_MAX + 1),
     "config_at_max": VALID_CONFIG.ljust(CONFIG_BYTES_MAX),
     "config_past_max": VALID_CONFIG.ljust(CONFIG_BYTES_MAX + 1),
+    # trial lines padded with spaces to the ceiling, with and without a line end, and one past it
+    **{f"{fmt}_at_max": OTHER_CELLS[fmt] + TRIAL[fmt].ljust(TRIAL_LINE_MAX - 1) + b"\n"
+       + TRIAL[fmt].ljust(TRIAL_LINE_MAX) for fmt in TRIAL},
+    **{f"{fmt}_past_max": OTHER_CELLS[fmt] + TRIAL[fmt].ljust(TRIAL_LINE_MAX) + b"\n" for fmt in TRIAL},
+    # longer than a read block, so the reader refuses it before the line ends
+    "trial_line_100k": TRIAL["jsonl"] + b"\n" + b"9" * (100 << 10) + b"\n",
 }
 SIMULATE = ["simulate", "--out", "{out}", "--config"]
 
@@ -422,10 +438,9 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (["analyze", "--trials", "{deep}"], 1),
     (SIMULATE + ["{deep}"], 2),
     (["oracle", "--n-per-setting", "9" * 1200], 2),
-    # (K + 1)^4 fits under the cap but exceeds sys.maxsize; at K = 2^63 - 2 the slab of
-    # K + 1 = sys.maxsize tallies fits, but itertools.product cannot hold range(K + 1)
-    (["oracle", "--n-per-setting", str(10**20), "--cap", str(10**90)], 2),
-    (["oracle", "--n-per-setting", str(2**63 - 2), "--cap", str(10**90)], 2),
+    # far past the cap: (K + 1)^4 past sys.maxsize, and K + 1 = sys.maxsize
+    (["oracle", "--n-per-setting", str(10**20)], 2),
+    (["oracle", "--n-per-setting", str(2**63 - 2)], 2),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{missing}/out.json"], 1),
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
       "--emit-trials", "{missing}/trials.jsonl"], 1),
@@ -439,7 +454,6 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (["simulate", "--model", "lhv", "--trials", "8", "--out", "{out}",
       "--seed", str(2**64 - 1)], 0),
     (["simulate", "--model", "lhv", "--trials", "0", "--out", "{out}"], "--trials"),
-    (["oracle", "--n-per-setting", "2", "--cap", "0"], "--cap"),
     # accepted by as_exact, but Delta/12 or N*Delta/24 would pass 4300 digits in the report
     (["analyze", "--tally", "{tally}", "--delta", "0." + "1" * 4299 + "3"], "--delta"),
     (["analyze", "--tally", "{tally}", "--delta", "1" * 4300 + "/2" + "0" * 4299], "--delta"),
@@ -451,6 +465,11 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
     (["analyze", "--tally", "{tally_past_max}"], 1),
     (SIMULATE + ["{config_at_max}"], 0),
     (SIMULATE + ["{config_past_max}"], 2),
+    (["analyze", "--trials", "{jsonl_at_max}"], 0),
+    (["analyze", "--trials", "{jsonl_past_max}"], 1),
+    (["analyze", "--trials", "{csv_at_max}", "--format", "csv", "--header"], 0),
+    (["analyze", "--trials", "{csv_past_max}", "--format", "csv", "--header"], 1),
+    (["analyze", "--trials", "{trial_line_100k}"], 1),
 ], ids=["epsilon-zero", "delta-negative", "trials-not-utf8", "tally-not-utf8",
         "trials-huge-int", "tally-huge-count",
         "config-huge-seed", "config-not-utf8", "config-flip-string", "config-angle-bool",
@@ -463,10 +482,11 @@ SIMULATE = ["simulate", "--out", "{out}", "--config"]
         "config-deep-json", "oracle-huge-k", "oracle-slab-past-maxsize", "oracle-pool-past-maxsize",
         "out-missing-dir", "emit-missing-dir",
         "emit-is-out", "emit-links-to-out", "emit-and-out-dev-null",
-        "seed-negative", "seed-above-64-bit", "seed-max", "trials-zero", "cap-zero",
+        "seed-negative", "seed-above-64-bit", "seed-max", "trials-zero",
         "delta-4300-digits", "delta-4300-digit-numerator", "delta-zero-as-float",
         "delta-numerator-at-limit", "tally-at-ceiling", "tally-past-ceiling",
-        "config-at-ceiling", "config-past-ceiling"])
+        "config-at-ceiling", "config-past-ceiling", "trial-line-at-ceiling", "trial-line-past-ceiling",
+        "csv-line-at-ceiling", "csv-line-past-ceiling", "trial-line-100k"])
 def test_exit_code_contract_without_traceback(tmp_path, argv, expected):
     """expected is an exit code, or the flag that argparse must reject (exit 2)."""
     tally = tmp_path / "tally.json"
@@ -510,10 +530,17 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, carried across exec")
-def test_oversized_tally_refused_in_bounded_memory(tmp_path):
-    """A 32 MiB one-line tally is refused from one read of TALLY_BYTES_MAX + 1 bytes, within
-    2 MiB of --version's peak; read whole, the line would add twice its size."""
-    huge = tmp_path / "huge.json"
+@pytest.mark.parametrize("source, baseline", [
+    ("--tally", ["--version"]),
+    # analyze --trials maps OpenSSL for hashlib before it opens the file
+    ("--trials", ["analyze", "--trials", "missing.jsonl"]),
+], ids=["tally", "trials"])
+def test_oversized_input_refused_in_bounded_memory(tmp_path, source, baseline):
+    """A 32 MiB one-line tally or trial file is refused within 2 MiB of the peak of a call
+    that reads no input: a tally from one read of TALLY_BYTES_MAX + 1 bytes, a trial file
+    once a read block holds more than TRIAL_LINE_MAX characters of one line. Read whole,
+    the line would add twice its size."""
+    huge = tmp_path / "huge.txt"
     with open(huge, "wb") as handle:
         for _ in range(32):
             handle.write(b"9" * (1 << 20))
@@ -524,17 +551,50 @@ def test_oversized_tally_refused_in_bounded_memory(tmp_path):
         out, err = tmp_path / "out.txt", tmp_path / "err.txt"
         proc = subprocess.run([sys.executable, "-S", "-c", SPAWNER, str(out), str(err),
                                sys.executable, "-m", "bellkit.cli", *argv],
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         code, maxrss = map(int, proc.stdout.split())
         return code, maxrss, out.read_text(), err.read_text()
 
-    version_code, version_kib, _, _ = peak_kib("--version")
-    assert version_code == 0
-    code, refused_kib, stdout, stderr = peak_kib("analyze", "--tally", str(huge))
+    _, baseline_kib, _, _ = peak_kib(*baseline)
+    code, refused_kib, stdout, stderr = peak_kib("analyze", source, str(huge))
     assert (code, stdout) == (1, "")
     assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1, stderr
-    assert refused_kib <= version_kib + 2048, (refused_kib, version_kib)
+    assert refused_kib <= baseline_kib + 2048, (refused_kib, baseline_kib)
+
+
+GOOD_LINE = TRIAL["jsonl"].decode() + "\n"
+OVERLONG = f"line is over {TRIAL_LINE_MAX} characters"
+
+
+@pytest.mark.parametrize("lines, error", [
+    # carried across read blocks, and refused by the reader before the line ends
+    ([GOOD_LINE, "9" * (100 << 10)], f"line 2: {OVERLONG}"),
+    ([GOOD_LINE] * 3000 + ["9" * (100 << 10)], f"line 3001: {OVERLONG}"),
+    # within one block, and refused by read_trials
+    ([GOOD_LINE, "9" * 5000 + "\n", GOOD_LINE], f"line 2: {OVERLONG}"),
+    # a bad line before an overlong one is still the one reported
+    ([GOOD_LINE, "not json\n", "9" * (100 << 10)], "line 2: invalid JSON"),
+], ids=["carried", "carried-after-a-block", "in-block", "earlier-bad-line"])
+def test_overlong_trial_line_named_by_number(capsys, tmp_path, lines, error):
+    path = tmp_path / "trials.jsonl"
+    path.write_text("".join(lines))
+    code, stdout, err = run_cli(capsys, "analyze", "--trials", str(path))
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {error}"), err
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.sampled_from(["\n", "\r", "\r\n", "\x0b", "\x85", "a", "\u00e9"]), max_size=80),
+       block=st.integers(1, 64))
+def test_trial_reader_splits_as_readlines(pieces, block):
+    """Read in blocks of any size, a text splits into the lines readlines() gives, and hashes whole."""
+    text = "".join(pieces)
+    sha256 = hashlib.sha256()
+    with mock.patch.object(bellkit.cli, "TRIAL_BLOCK_CHARS", block):
+        lines = list(bellkit.cli._hashed_lines(io.StringIO(text, newline=""), sha256))
+    assert lines == io.StringIO(text, newline="").readlines()
+    assert sha256.digest() == hashlib.sha256(text.encode("utf-8")).digest()
 
 
 class TestOracleCommand:
@@ -549,14 +609,11 @@ class TestOracleCommand:
         assert "cap" in err
 
     def test_cap_boundary(self, capsys):
-        # (2 + 1)^4 = 81 tallies: a cap of exactly 81 runs them all, 80 refuses before any
-        code, stdout, _ = run_cli(capsys, "oracle", "--n-per-setting", "2", "--cap", "81")
-        assert code == 0
-        assert json.loads(stdout)["checked"] == 81
-        code, stdout, err = run_cli(capsys, "oracle", "--n-per-setting", "2", "--cap", "80")
+        # (100 + 1)^4 tallies exceed the cap of 10^8 = (99 + 1)^4, refused before any is enumerated
+        code, stdout, err = run_cli(capsys, "oracle", "--n-per-setting", "100")
         assert code == 2
         assert stdout == ""
-        assert "cap 80" in err
+        assert "cap 100000000" in err
 
 
 def test_violation_possible_under_unequal_settings(capsys, tmp_path):

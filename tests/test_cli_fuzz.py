@@ -192,10 +192,9 @@ def test_simulate(model, trials, seed, round_robin, shards, emit, missing_dir, a
 
 
 @settings(max_examples=30, deadline=None)
-@given(k=fuzzed(st.integers(1, 6).map(str), flag_text(6)), cap=st.none() | st.integers(-1, 3000))
-def test_oracle(k, cap):
-    argv = ["oracle", f"--n-per-setting={k}"] + (["--cap", str(cap)] if cap is not None else [])
-    run("oracle", argv)
+@given(k=fuzzed(st.integers(1, 6).map(str), flag_text(6)))
+def test_oracle(k):
+    run("oracle", ["oracle", f"--n-per-setting={k}"])
 
 
 # --delta texts at each digit and exponent edge, and whether analyze renders them. as_exact

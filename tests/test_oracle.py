@@ -2,8 +2,6 @@
 
 import itertools
 import json
-import math
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -87,11 +85,15 @@ class TestEnumeration:
             assert all(0 <= n <= 2 for n in corr)
 
     def test_cap_guard(self):
-        with pytest.raises(EnumerationCapError):
-            list(enumerate_uniform_tallies(100, cap=10**4))
+        # (100 + 1)^4 tallies exceed the cap, refused by both entry points before any is enumerated
+        with pytest.raises(EnumerationCapError, match="cap 100000000"):
+            next(enumerate_uniform_tallies(100))
+        with pytest.raises(EnumerationCapError, match="cap 100000000"):
+            verify_necessary_conditions(100)
 
     def test_size_equal_to_cap_allowed(self):
-        assert sum(1 for _ in enumerate_uniform_tallies(1, cap=16)) == 16
+        # (99 + 1)^4 is the cap exactly: admitted, and checked without enumerating it
+        assert bellkit.oracle._checked_size(99) == 99
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
     def test_non_int_refused(self, n):
@@ -138,28 +140,10 @@ class TestVerification:
         assert violating
         assert summarized == violating
 
-    def test_cap_propagates(self):
-        with pytest.raises(EnumerationCapError):
-            verify_necessary_conditions(40, cap=10**5)
-
     def test_cap_checked_before_any_slab(self):
         # a slab of 10^30 + 1 tallies cannot even be asked for
         with pytest.raises(EnumerationCapError):
             verify_necessary_conditions(10**30)
-
-    def test_slab_past_maxsize_refused(self):
-        # under a cap no K reaches, an enumeration of more than sys.maxsize tallies is
-        # still refused before any enumerator is built; the largest K admitted has
-        # (K + 1)^4 <= sys.maxsize, and is checked but never enumerated
-        with pytest.raises(EnumerationCapError, match="sys.maxsize"):
-            verify_necessary_conditions(10**20, cap=10**90)
-        with pytest.raises(EnumerationCapError, match="sys.maxsize"):
-            bellkit.oracle._checked_size(sys.maxsize, 10**90)
-        largest = math.isqrt(math.isqrt(sys.maxsize)) - 1
-        assert (largest + 1) ** 4 <= sys.maxsize < (largest + 2) ** 4
-        assert bellkit.oracle._checked_size(largest, 10**90) == largest
-        with pytest.raises(EnumerationCapError, match="sys.maxsize"):
-            bellkit.oracle._checked_size(largest + 1, 10**90)
 
     @staticmethod
     def patch_thresholds(monkeypatch, replace):

@@ -28,7 +28,7 @@ from bellkit import (
     run_experiment,
 )
 from bellkit.cli import main
-from bellkit.rng import unit_doubles, unit_threshold
+from bellkit.rng import shard_ranges, unit_doubles, unit_threshold
 from bellkit.simulate import (
     _chunk,
     _work,
@@ -321,6 +321,20 @@ class TestDeterminism:
     def test_shard_count_invariance(self, shards):
         cfg = make_config(trials=10_001, seed=5)
         assert run_experiment(cfg, shards=shards).tally == run_experiment(cfg).tally
+
+    @given(total=st.integers(1, 10**4), shards=st.integers(1, 64))
+    def test_shard_ranges_split_evenly(self, total, shards):
+        ranges = shard_ranges(total, shards)
+        assert len(ranges) == min(shards, total)
+        assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+        assert ranges[-1][1] == total
+        sizes = [stop - start for start, stop in ranges]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_shard_ranges_refuse_fewer_than_one_shard(self, shards):
+        with pytest.raises(ValueError, match="shard count must be >= 1"):
+            shard_ranges(10, shards)
 
     @pytest.mark.parametrize("cores, workers", [(2, 2), (16, 7), (None, 1)])
     def test_workers_capped_at_core_count(self, monkeypatch, cores, workers):

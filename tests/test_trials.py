@@ -162,7 +162,8 @@ def unique_line(rec, fmt, n):
 
 @st.composite
 def trial_files(draw):
-    """(format, header, lines) drawn from valid, blank, CRLF, malformed and unique lines."""
+    """(format, header, lines) drawn from valid, blank, CRLF, malformed and unique lines, and
+    valid or blank lines padded to the length ceiling or one past it."""
     fmt = draw(st.sampled_from(["jsonl", "csv"]))
     valid = [serialize_trial_line(rec, fmt) + "\n" for rec in ALL_RECORDS]
     pool = st.one_of(
@@ -171,6 +172,9 @@ def trial_files(draw):
         st.sampled_from(BLANK_LINES),
         st.sampled_from(BAD_LINES[fmt]),
         st.builds(unique_line, st.sampled_from(ALL_RECORDS), st.just(fmt), st.integers(0, 40)),
+        st.builds(lambda line, width: line.rstrip("\r\n").ljust(width - 1) + "\n",
+                  st.sampled_from(valid + BLANK_LINES),
+                  st.sampled_from([trials.TRIAL_LINE_MAX, trials.TRIAL_LINE_MAX + 1])),
     )
     lines = draw(st.lists(pool, max_size=60))
     return fmt, draw(st.booleans()), lines
@@ -178,11 +182,13 @@ def trial_files(draw):
 
 def reference_records(lines, fmt, header):
     """parse_trial_line on every line, with no memo: the contract read_trials keeps."""
-    return [
-        parse_trial_line(line, format=fmt, line_number=lineno)
-        for lineno, line in enumerate(lines, start=1)
-        if not (header and lineno == 1) and line.strip()
-    ]
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if len(line) > trials.TRIAL_LINE_MAX:
+            raise ParseError(f"line is over {trials.TRIAL_LINE_MAX} characters", lineno)
+        if not (header and lineno == 1) and line.strip():
+            records.append(parse_trial_line(line, format=fmt, line_number=lineno))
+    return records
 
 
 class TestMemoizedIngest:
