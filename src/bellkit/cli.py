@@ -281,9 +281,9 @@ def _load_input_tally(args: argparse.Namespace) -> tuple[TallyTable, Path, str, 
     A tally file, at most TALLY_BYTES_MAX bytes, is read whole and hashed by
     the builtin SHA-256, which spares a small file the cost of loading
     OpenSSL. A trial file is read in blocks and hashed by hashlib's OpenSSL
-    SHA-256, which is several times faster on a large file. Strict UTF-8
-    without newline translation decodes one-to-one, so either hash is the
-    hash of the file's bytes.
+    SHA-256, several times faster on a large file, imported once the file
+    opens, so a missing one maps no OpenSSL. Strict UTF-8 without newline
+    translation decodes one-to-one, so either hash is that of the bytes.
     """
     seed = None
     if args.tally is not None:
@@ -293,11 +293,11 @@ def _load_input_tally(args: argparse.Namespace) -> tuple[TallyTable, Path, str, 
         tally, extras = load_tally((data.decode("utf-8"),))
         seed = extras.get("seed")
     else:
-        import hashlib
-
         path = args.trials
-        sha256 = hashlib.sha256()
         with open(path, encoding="utf-8", newline="") as text:
+            import hashlib
+
+            sha256 = hashlib.sha256()
             lines = _hashed_lines(text, sha256)
             tally = tally_from_trials(read_trials(lines, format=args.format, header=args.header))
         digest = sha256.hexdigest()

@@ -11,28 +11,27 @@ counterexamples:
   sprime_bounds:            S'_min <= S' <= S'_max for every tally
   uniformity_no_violation:  sigma = 0 implies S <= 2
 
-The enumeration is walked one slab at a time: the q + 1 consecutive
-tallies that share (n00, n01, n10) while n11 runs over 0..q. `checked`
-still counts every tally the enumerator yields. Each slab is screened in
-integers. Both S' slacks are convex and piecewise linear in n11, with kinks
-at the least and the greatest of n00, n01 and n10, so the S' bounds are
-checked at n11 = 0, those two kinks and q. S > 2 is X = chsh_numerator -
-abcd being positive, and X falls by abc per unit of n11, so the violating
-tallies are a prefix of the slab. Each slab runs one loop: over that
-prefix when S' holds at the four kinks, and over the whole slab, with S'
-checked at every tally, otherwise. The other four conditions all read
-"S > 2 implies ...", so only a tally of the prefix becomes a TallyTable
-and goes through chsh_statistic, the analyzer's summary, which gives sigma.
-The two thresholds are the (numerator, denominator) pairs of
-stats.thresholds at Delta = 2X/abcd, the one statement from which
-bounds_report builds the required_skew and epsilon_floor that `analyze`
-prints; the oracle compares against them by cross-multiplication, with
-the achieved epsilon's pair from stats.max_strength, the integer form of
-the largest strength nosignalling_deltas lists, so it checks what a user
-reads without building a Fraction; every count form it reads is in stats'
-integer core. Exact arithmetic matters: several conditions
-sit on strict-inequality boundaries (S exactly 2) where floating point
-could manufacture or hide a counterexample.
+The enumeration is walked one slab at a time: the q + 1 tallies that
+share (n00, n01, n10) while n11 runs over 0..q; `checked` counts every
+tally the enumerator yields. S > 2 is X = chsh_numerator - abcd > 0, and
+X falls by abc per unit of n11, so the violating tallies are a prefix
+0..last of the slab. S' is checked at the kinks of its convex, piecewise
+linear slacks: n11 = 0, q, and the least (lo) and greatest (hi) of n00,
+n01 and n10. The four conditions that read "S > 2 implies" are checked at
+the check points 0 and last, which is exact: S > 2 reads
+n00 + n01 + n10 - n11 > 2q, and no two of n00, n01, n10 sum past 2q, so
+n11 < lo on the prefix. There sigma = hi - n11, epsilon is sigma/(2q) and
+Delta = 2X/abcd, so every slack is linear in n11 and least at an end (the
+kinks lo and hi of sigma never lie in the prefix). A slab that fails a
+check is walked tally by tally, its prefix, or every tally when S' fails,
+so the counterexamples and their order are those of a per-tally check.
+A checked tally becomes a TallyTable and goes through chsh_statistic, the
+analyzer's summary, for sigma; it is compared by cross-multiplication
+with the pairs of stats.thresholds, from which bounds_report builds the
+printed required_skew and epsilon_floor, and with stats.max_strength,
+the integer form of the achieved epsilon. Exact arithmetic matters: some
+conditions sit on strict-inequality boundaries (S exactly 2) where
+floating point could manufacture or hide a counterexample.
 """
 
 from __future__ import annotations
@@ -53,6 +52,8 @@ CONDITIONS = (
     "sprime_bounds",
     "uniformity_no_violation",
 )
+# the conditions that only bind when S > 2, in the order a tally's failures are reported
+_VIOLATION_CONDITIONS = ("uniformity_no_violation", "sigma_ge_1", "sigma_gt_NDelta_24", "eps_gt_Delta_12")
 
 # The most tallies one run enumerates: (K + 1)^4 <= CAP admits K <= 99.
 CAP = 10**8
@@ -114,21 +115,30 @@ def _sprime_holds(corr: tuple[int, int, int, int]) -> bool:
     return s_prime_min <= s_prime <= s_prime_max
 
 
+def _violation_failures(tally: TallyTable, x: int) -> list[str]:
+    """The conditions bound by S > 2 that a uniform tally fails; x = chsh_numerator - abcd > 0."""
+    q = tally.a
+    # read from stats at each call, so a wrapper set there later (a tracer's) sees it
+    sigma = stats.chsh_statistic(tally).sigma
+    # Delta = S - 2 = 2X/abcd
+    (skew_num, skew_den), (floor_num, floor_den) = thresholds(4 * q, 2 * x, q**4)
+    eps_num, eps_den = max_strength(tally.setting_counts, tally.corr_counts)
+    holds = sigma != 0, sigma >= 1, sigma * skew_den > skew_num, eps_num * floor_den > floor_num * eps_den
+    return [condition for condition, held in zip(_VIOLATION_CONDITIONS, holds) if not held]
+
+
 def verify_necessary_conditions(n_per_setting: int) -> CounterexampleReport:
     """Check every condition on every enumerated tally; report failures verbatim.
 
-    The enumeration is taken one (n00, n01, n10) slab at a time, as the
-    module docstring sets out: one loop per slab walks the violating prefix
-    when the S' bounds hold at the slab's kinks, or every tally if one of
-    those fails, and only the violating prefix is pushed through
-    chsh_statistic, so the conditions that only bind under a violation read
-    the sigma that analyze prints, and its thresholds are decided on the
-    integer pairs of thresholds.
+    One (n00, n01, n10) slab at a time, as the module docstring sets out.
+    On the violating prefix 0..last, n11 < min(n00, n01, n10), so sigma,
+    epsilon = sigma/(2q) and Delta are linear in n11 and each condition is
+    decided at the check points 0 and last (S' at 0, lo, hi and q). A slab
+    that fails at one of them is walked tally by tally instead.
     """
     started = time.perf_counter()
     q = _checked_size(n_per_setting)
     settings = (q, q, q, q)
-    n_total = 4 * q
     abc, abcd = q**3, q**4
     failures: list[tuple[TallyTable, str]] = []
     checked = 0
@@ -139,27 +149,17 @@ def verify_necessary_conditions(n_per_setting: int) -> CounterexampleReport:
         lo, hi = min(n00, n01, n10), max(n00, n01, n10)
         # X = x0 - n11*abc is positive exactly for n11 <= last; -1 when no tally violates
         x0 = chsh_numerator(settings, slab[0]) - abcd
-        last = max(-1, min(q, (x0 - 1) // abc))
+        last = max(-1, (x0 - 1) // abc)
         sprime_holds = all(map(_sprime_holds, (slab[0], slab[lo], slab[hi], slab[q])))
+        if sprime_holds and (last < 0 or not any(
+                _violation_failures(TallyTable(*settings, *slab[n11]), x0 - n11 * abc) for n11 in sorted({0, last}))):
+            continue
         for n11, corr in enumerate(slab[: last + 1] if sprime_holds else slab):
             tally = TallyTable(q, q, q, q, *corr)
             if not (sprime_holds or _sprime_holds(corr)):
                 failures.append((tally, "sprime_bounds"))
-            if n11 > last:
-                continue
-            # read from stats at each call, so a wrapper set there later (a tracer's) sees it
-            sigma = stats.chsh_statistic(tally).sigma
-            # Delta = S - 2 = 2X/abcd
-            (skew_num, skew_den), (floor_num, floor_den) = thresholds(n_total, 2 * (x0 - n11 * abc), abcd)
-            eps_num, eps_den = max_strength(settings, corr)
-            if sigma == 0:
-                failures.append((tally, "uniformity_no_violation"))
-            if sigma < 1:
-                failures.append((tally, "sigma_ge_1"))
-            if not sigma * skew_den > skew_num:
-                failures.append((tally, "sigma_gt_NDelta_24"))
-            if not eps_num * floor_den > floor_num * eps_den:
-                failures.append((tally, "eps_gt_Delta_12"))
+            if n11 <= last:
+                failures.extend((tally, condition) for condition in _violation_failures(tally, x0 - n11 * abc))
     return CounterexampleReport(
         checked=checked,
         counterexamples=tuple(failures),

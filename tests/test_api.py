@@ -97,8 +97,8 @@ print(json.dumps(seen))
 
 def test_tracer_sees_every_call_of_its_targets(tmp_path):
     """A module the tracer loads after it wraps a target reaches the target through
-    its module, so no call goes unseen: the oracle sends its 715 violating tallies at
-    K = 10 through chsh_statistic, and analyze calls bounds_report once."""
+    its module, so no call goes unseen: the oracle sends the 385 check points of its 715
+    violating tallies at K = 10 through chsh_statistic, and analyze calls bounds_report once."""
     write_tally(tmp_path / "tally.json", TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0))
     counted = ["chsh_statistic", "bounds_report"]
     commands = [["oracle", "--n-per-setting", "10"], ["analyze", "--tally", "tally.json"]]
@@ -109,6 +109,6 @@ def test_tracer_sees_every_call_of_its_targets(tmp_path):
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
-        [0, {"chsh_statistic": 715, "bounds_report": 0}],
+        [0, {"chsh_statistic": 385, "bounds_report": 0}],
         [3, {"chsh_statistic": 1, "bounds_report": 1}],
     ]

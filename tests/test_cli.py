@@ -532,14 +532,15 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, carried across exec")
 @pytest.mark.parametrize("source, baseline", [
     ("--tally", ["--version"]),
-    # analyze --trials maps OpenSSL for hashlib before it opens the file
-    ("--trials", ["analyze", "--trials", "missing.jsonl"]),
+    # an empty trial file is opened and hashed, so it maps OpenSSL for hashlib as a huge one does
+    ("--trials", ["analyze", "--trials", "empty.jsonl"]),
 ], ids=["tally", "trials"])
 def test_oversized_input_refused_in_bounded_memory(tmp_path, source, baseline):
     """A 32 MiB one-line tally or trial file is refused within 2 MiB of the peak of a call
     that reads no input: a tally from one read of TALLY_BYTES_MAX + 1 bytes, a trial file
     once a read block holds more than TRIAL_LINE_MAX characters of one line. Read whole,
     the line would add twice its size."""
+    (tmp_path / "empty.jsonl").write_bytes(b"")
     huge = tmp_path / "huge.txt"
     with open(huge, "wb") as handle:
         for _ in range(32):
@@ -705,16 +706,18 @@ class TestTopLevel:
          ["dataclasses", "inspect", "hashlib", "_hashlib", "bellkit.oracle"], []),
         (["analyze", "--trials", "trials.jsonl"], 0, ["dataclasses", "inspect", "bellkit.oracle"],
          ["hashlib"]),
+        # hashlib is imported once the trial file opens, so a missing one maps no OpenSSL
+        (["analyze", "--trials", "missing.jsonl"], 1, ["hashlib", "_hashlib", "bellkit.report"], []),
         (["oracle", "--n-per-setting", "2"], 0,
          ["dataclasses", "inspect", "hashlib", "bellkit.bounds", "bellkit.report"], []),
         (["simulate", "--model", "lhv", "--trials", "8", "--out", "out.json"], 0,
          ["hashlib", "concurrent.futures", "bellkit.stats", "bellkit.bounds", "bellkit.oracle",
           "bellkit.report", "fractions", "decimal"], []),
-    ], ids=["version", "analyze", "analyze-trials", "oracle", "simulate"])
+    ], ids=["version", "analyze", "analyze-trials", "analyze-missing-trials", "oracle", "simulate"])
     def test_command_starts_without_unused_modules(self, tmp_path, argv, code, unloaded, loaded):
         """Records are named tuples, so no command loads dataclasses or the inspect it pulls
-        in; only `analyze --trials` loads hashlib (a tally file is hashed by the builtin
-        SHA-256, without OpenSSL), and only a run of two or more shards its thread pool.
+        in; only `analyze --trials` loads hashlib, once its file opens (a tally file is hashed
+        by the builtin SHA-256, without OpenSSL), and only a run of two or more shards its thread pool.
         Each command loads only the bellkit modules it runs: --version none but errors and
         trials, and simulate none of the exact statistics."""
         write_tally(tmp_path / "tally.json", TallyTable(a=4, b=4, c=4, d=4, n00=4, n01=4, n10=4, n11=0))

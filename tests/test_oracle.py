@@ -22,7 +22,7 @@ from bellkit import (
     verify_necessary_conditions,
 )
 from bellkit.oracle import CONDITIONS
-from bellkit.stats import thresholds
+from bellkit.stats import chsh_numerator, max_strength, skew_counts, thresholds
 
 
 def per_tally_verify(q):
@@ -62,6 +62,19 @@ def kinks(corr, q):
     """The n11 at which the S' bounds of corr's slab are checked: 0, the least
     and the greatest of n00, n01 and n10, and q."""
     return 0, min(corr[:3]), max(corr[:3]), q
+
+
+def violating_prefix(corr, q):
+    """The n11 of corr's slab whose tally has S > 2, by chsh_exact; they run 0..last."""
+    return [n11 for n11 in range(q + 1) if chsh_exact(TallyTable(q, q, q, q, *corr[:3], n11)) > 2]
+
+
+def check_points(corr, last):
+    """The n11 at which the conditions that bind under S > 2 are checked, in
+    order, by their general definition: 0 and last, and the least and the
+    greatest of n00, n01 and n10 where they lie in 0..last (on uniform
+    settings they never do); none when no tally of corr's slab violates."""
+    return sorted({0, last} | {n for n in (min(corr[:3]), max(corr[:3])) if n <= last}) if last >= 0 else []
 
 
 class TestEnumeration:
@@ -136,9 +149,15 @@ class TestVerification:
         monkeypatch.setattr(bellkit.stats, "chsh_statistic", counted)
         assert verify_necessary_conditions(q).ok
         tallies = [TallyTable(q, q, q, q, *corr) for corr in itertools.product(range(q + 1), repeat=4)]
-        violating = [t for t in tallies if chsh_exact(t) > 2]
-        assert violating
-        assert summarized == violating
+        violating = {t for t in tallies if chsh_exact(t) > 2}
+        assert violating and set(summarized) <= violating
+        # every call is on a violating tally, and the calls are each slab's check points, in order
+        expected = []
+        for slab in itertools.product(range(q + 1), repeat=3):
+            prefix = violating_prefix(slab, q)
+            assert prefix == list(range(len(prefix)))
+            expected += [TallyTable(q, q, q, q, *slab, n11) for n11 in check_points(slab, len(prefix) - 1)]
+        assert summarized == expected
 
     def test_cap_checked_before_any_slab(self):
         # a slab of 10^30 + 1 tallies cannot even be asked for
@@ -252,6 +271,40 @@ class TestSlabWalk:
             corr for corr in enumerate_uniform_tallies(q) if broken_at(corr)]
         assert self.report(q) == (checked, expected)
 
+    @pytest.mark.parametrize("point", ["0", "last"])
+    @pytest.mark.parametrize("fault", ["sigma", "required_skew", "epsilon_floor", "max_strength"])
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_broken_condition_at_a_check_point_walks_the_prefix(self, monkeypatch, q, fault, point):
+        # a condition's slack is pushed negative at one check point of every
+        # third slab, 0 or last, and nowhere else, so only the probe of that
+        # point can send the slab to the walk that reports it; lo and hi, the
+        # other check points the definition admits, never lie in the prefix
+        broken = set()
+        for corr in enumerate_uniform_tallies(q):
+            prefix = violating_prefix(corr, q)
+            if sum(corr[:3]) % 3 == 0 and prefix and corr[3] == {"0": 0, "last": prefix[-1]}[point]:
+                broken.add(corr)
+        unmet = 10**9, 1
+        if fault == "sigma":
+            def summarized(tally):
+                summary = chsh_statistic(tally)
+                return summary._replace(sigma=0) if tally.corr_counts in broken else summary
+
+            monkeypatch.setattr(bellkit.stats, "chsh_statistic", summarized)
+        elif fault == "max_strength":
+            monkeypatch.setattr(bellkit.oracle, "max_strength", lambda settings, corr: (
+                (0, 1) if corr in broken else max_strength(settings, corr)))
+        else:
+            def replace(tally, pairs):
+                if tally.corr_counts not in broken:
+                    return pairs
+                return (unmet, pairs[1]) if fault == "required_skew" else (pairs[0], unmet)
+
+            TestVerification.patch_thresholds(monkeypatch, replace)
+        checked, expected = per_tally_verify(q)
+        assert broken and {t.corr_counts for t, condition in expected} == broken
+        assert self.report(q) == (checked, expected)
+
     @pytest.mark.parametrize("q", range(1, 9))
     def test_sprime_checked_at_four_points_per_slab(self, monkeypatch, q):
         calls = []
@@ -267,3 +320,40 @@ class TestSlabWalk:
         assert len(per_slab) == (q + 1) ** 3
         assert max(per_slab.values()) <= 4
         assert all(corr[3] in kinks(corr, q) for corr in calls)
+
+
+class TestCheckPoints:
+    """The lemma behind the oracle's check points, from stats' integer core alone:
+    on a slab's violating prefix each slack is least at a check point."""
+
+    @staticmethod
+    def slacks(q, corr):
+        """Each condition's integer slack at a violating uniform tally, negative exactly where it fails."""
+        settings = (q, q, q, q)
+        x = chsh_numerator(settings, corr) - q**4
+        sigma = skew_counts(corr)[0]
+        (skew_num, skew_den), (floor_num, floor_den) = thresholds(4 * q, 2 * x, q**4)
+        eps_num, eps_den = max_strength(settings, corr)
+        return {
+            "uniformity_no_violation": sigma - 1,  # sigma != 0 for an integer sigma >= 0
+            "sigma_ge_1": sigma - 1,
+            # a strict A > B between integers is A - B - 1 >= 0
+            "sigma_gt_NDelta_24": sigma * skew_den - skew_num - 1,
+            "eps_gt_Delta_12": eps_num * floor_den - floor_num * eps_den - 1,
+        }
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_least_slack_of_the_prefix_is_at_a_check_point(self, q):
+        for slab in itertools.product(range(q + 1), repeat=3):
+            prefix = [n11 for n11 in range(q + 1) if chsh_numerator((q, q, q, q), (*slab, n11)) > q**4]
+            assert prefix == list(range(len(prefix)))
+            if not prefix:
+                continue
+            # n00 + n01 + n10 - n11 > 2q puts the prefix below the kinks of sigma
+            assert prefix[-1] < min(slab) and check_points(slab, prefix[-1]) == sorted({0, prefix[-1]})
+            every = [self.slacks(q, (*slab, n11)) for n11 in prefix]
+            points = check_points(slab, prefix[-1])
+            for condition in CONDITIONS:
+                if condition != "sprime_bounds":
+                    least = min(slacks[condition] for slacks in every)
+                    assert least == min(every[n11][condition] for n11 in points), (slab, condition)
