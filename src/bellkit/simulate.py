@@ -9,10 +9,12 @@ lambda uniform on [0, 2pi) and answers sign(cos(theta - lambda)) at each
 station, which yields the sawtooth correlation E = 1 - 2|dtheta|/pi on
 [0, pi] and can never exceed the local-realist bound.
 
-One kernel, _chunk, serves trial_arrays and tally_for_range. It derives
-each trial's key once and reads the setting pair k = 2*s1 + s2 as the top
-two bits of slot 0. Whether a quantum trial's outcomes agree depends only
-on slot 2 and k: (w2 >> 11) < ceil(p * 2^53), which is exactly
+One kernel, _chunk, serves trial_arrays and tally_for_range. It works in
+four uint64 buffers that every chunk of a range reuses, and looks up the
+config's tables (_tables), which each range builds once. It derives each
+trial's key once and reads the setting pair k = 2*s1 + s2 as the top two
+bits of slot 0. Whether a quantum trial's outcomes agree depends only on
+slot 2 and k: (w2 >> 11) < ceil(p * 2^53), which is exactly
 unit_doubles(w2) < p. Station 1's outcome (slot 1) is drawn only when the
 outcomes themselves are wanted, so a bare tally reads two words per trial.
 The kernel applies flip_station2 itself, so what it returns is whether a
@@ -62,7 +64,13 @@ from .errors import ConfigError
 from .rng import shard_ranges, trial_keys, trial_words, unit_doubles, unit_threshold
 from .trials import SEED_MAX, Checked, TallyTable, merge_tallies
 
-_CHUNK = 1 << 16
+# Trials per kernel chunk, which sizes _chunk's four uint64 buffers and each
+# mix's temporary. One thread (tally_for_range, emitting or not) works in
+# 2^14-trial chunks: 640 KiB of buffers where 2^16 took 2.5 MiB, and no
+# slower. Sharded workers keep 2^16: each numpy call hands the GIL over, and
+# with 2^14 trials a call two threads lost their gain over one to handoffs.
+_CHUNK = 1 << 14
+_SHARD_CHUNK = 1 << 16
 
 # Maximal-violation angles for the E00+E01+E10-E11 combination under the
 # E = cos(theta_a - theta_b) convention.
@@ -177,24 +185,42 @@ def _near_edge(d: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def _cos_signs(
-    words: np.ndarray, k: np.ndarray, angles: tuple[tuple[float, ...], ...], lam: np.ndarray | None = None
+    words: np.ndarray, k: np.ndarray, angles: list[np.ndarray], lam: np.ndarray | None = None
 ) -> list[np.ndarray]:
     """Whether cos(theta - lambda) >= 0 at each station, by the float expression.
 
+    angles holds each station's theta per k, as _tables gives them.
     lambda = unit_doubles(words) * 2pi goes into lam (float64, allocated
-    when None), and words is overwritten. The angle tables are float64
-    even for int angles: np.take casts into out only from a dtype that
-    casts to it safely.
+    when None), and words is overwritten.
     """
     lam = unit_doubles(words, out=lam)
     lam *= 2.0 * math.pi
     phase = words.view(np.float64)
     signs = []
     for table in angles:
-        np.take(np.array(table, dtype=np.float64), k, out=phase)
+        np.take(table, k, out=phase)
         phase -= lam
         signs.append(np.cos(phase, out=phase) >= 0.0)
     return signs
+
+
+def _tables(cfg: SimulationConfig) -> np.ndarray | tuple[list[np.ndarray], list[np.ndarray] | None]:
+    """What _chunk looks up by the setting pair k, built once per range.
+
+    Quantum: the thresholds ceil(p * 2^53) (uint64). Hidden-variable: each
+    station's theta (float64 even for int angles: np.take casts into out
+    only from a dtype that casts to it safely), and each station's arc
+    starts L, or None when an angle is past _ANGLE_BOUND and every word
+    takes the float expression.
+    """
+    if cfg.model == "quantum":
+        return np.array(
+            [unit_threshold(correlation_probability(cfg, k >> 1, k & 1)) for k in range(4)], dtype=np.uint64
+        )
+    a, b = cfg.station1_angles, cfg.station2_angles
+    angles = ((a[0], a[0], a[1], a[1]), (b[0], b[1], b[0], b[1]))
+    starts = None if max(abs(t) for t in a + b) > _ANGLE_BOUND else [_arc_starts(table) for table in angles]
+    return [np.array(table, dtype=np.float64) for table in angles], starts
 
 
 def _work(size: int) -> list[np.ndarray]:
@@ -203,14 +229,14 @@ def _work(size: int) -> list[np.ndarray]:
 
 
 def _chunk(
-    cfg: SimulationConfig, start: int, stop: int, outcomes: bool, work: list[np.ndarray]
+    cfg: SimulationConfig, tables, start: int, stop: int, outcomes: bool, work: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(k, correlated, o1) for trials [start, stop), computed in the _work buffers.
 
-    k is the setting pair 2*s1 + s2 (int64, a view of a buffer), correlated
-    whether the trial is correlated (bool: its outcomes agree, or with
-    flip_station2 differ), and o1 station 1's outcome (int8), or None
-    unless outcomes is true.
+    tables is _tables(cfg). k is the setting pair 2*s1 + s2 (int64, a view
+    of a buffer), correlated whether the trial is correlated (bool: its
+    outcomes agree, or with flip_station2 differ), and o1 station 1's
+    outcome (int8), or None unless outcomes is true.
     """
     keys, words, k, spare = (buffer[: stop - start] for buffer in work)
     trial_keys(cfg.seed, start, stop, out=keys)
@@ -222,10 +248,6 @@ def _chunk(
         k = k.view(np.int64)
     o1 = None
     if cfg.model == "quantum":
-        thresholds = np.array(
-            [unit_threshold(correlation_probability(cfg, j >> 1, j & 1)) for j in range(4)],
-            dtype=np.uint64,
-        )
         if outcomes:
             # unit_doubles(w) < 0.5 exactly when w < 2^63
             trial_words(keys, 1, out=words)
@@ -233,19 +255,16 @@ def _chunk(
         trial_words(keys, 2, out=words)
         words >>= np.uint64(11)
         # the keys are spent, so their buffer takes each trial's threshold
-        correlated = words < np.take(thresholds, k, out=keys)
+        correlated = words < np.take(tables, k, out=keys)
     else:
         trial_words(keys, 1, out=words)
-        # theta per station, looked up by k; sign(0) := +1, so the responder
-        # is total and deterministic
-        a, b = cfg.station1_angles, cfg.station2_angles
-        angles = ((a[0], a[0], a[1], a[1]), (b[0], b[1], b[0], b[1]))
-        if max(abs(t) for t in a + b) > _ANGLE_BOUND:
+        # sign(0) := +1, so the responder is total and deterministic
+        angles, starts = tables
+        if starts is None:
             # the keys are spent, so their buffer takes lambda
             positive1, positive2 = _cos_signs(words, k, angles, lam=keys.view(np.float64))
             correlated = positive1 == positive2
         else:
-            starts = [_arc_starts(table) for table in angles]
             # d = (w - L) mod 2^64 per station, in the spent keys' buffer and
             # the spare one; words then serves as scratch, since w = d1 + L1
             d1 = np.subtract(words, np.take(starts[0], k, out=keys), out=keys)
@@ -286,33 +305,41 @@ def trial_arrays(
     This evaluates the same kernel as tally_for_range, in one piece.
     """
     _check_range(cfg, start, stop)
-    return _arrays(*_chunk(cfg, start, stop, True, _work(stop - start)))
+    return _arrays(*_chunk(cfg, _tables(cfg), start, stop, True, _work(stop - start)))
 
 
-def tally_for_range(
-    cfg: SimulationConfig, start: int, stop: int, write: Callable[..., None] | None = None
+def _tally(
+    cfg: SimulationConfig, start: int, stop: int, chunk: int, write: Callable[..., None] | None = None
 ) -> TallyTable:
-    """Tally of the trials in index range [start, stop).
-
-    This is the only chunk loop. When given, write receives each chunk's
-    (s1, s2, o1, o2) arrays, as trial_arrays gives them, in index order,
-    so a caller can stream the trials and tally them from one generation
-    pass. Without it no outcome is built, and slot 1 of a quantum trial is
-    not drawn. The range must lie within 0..cfg.trials.
-    """
-    _check_range(cfg, start, stop)
+    """tally_for_range in chunks of the given number of trials: the only chunk loop."""
     # bin 2k + 1 counts the correlated trials of setting pair k, bin 2k the rest
     counts = np.zeros(8, dtype=np.int64)
-    work = _work(min(_CHUNK, stop - start))
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        k, correlated, o1 = _chunk(cfg, lo, hi, write is not None, work)
+    tables = _tables(cfg)
+    work = _work(min(chunk, stop - start))
+    for lo in range(start, stop, chunk):
+        hi = min(lo + chunk, stop)
+        k, correlated, o1 = _chunk(cfg, tables, lo, hi, write is not None, work)
         if write is not None:
             write(*_arrays(k, correlated, o1))
         k <<= 1
         k += correlated
         counts += np.bincount(k, minlength=8)
     return TallyTable.from_bins(counts.tolist())
+
+
+def tally_for_range(
+    cfg: SimulationConfig, start: int, stop: int, write: Callable[..., None] | None = None
+) -> TallyTable:
+    """Tally of the trials in index range [start, stop), in _CHUNK-trial chunks.
+
+    When given, write receives each chunk's (s1, s2, o1, o2) arrays, as
+    trial_arrays gives them, in index order, so a caller can stream the
+    trials and tally them from one generation pass. Without it no outcome
+    is built, and slot 1 of a quantum trial is not drawn. The range must
+    lie within 0..cfg.trials.
+    """
+    _check_range(cfg, start, stop)
+    return _tally(cfg, start, stop, _CHUNK, write)
 
 
 class ExperimentRun(NamedTuple):
@@ -323,8 +350,9 @@ def run_experiment(cfg: SimulationConfig, shards: int = 1) -> ExperimentRun:
     """Tally cfg.trials trials.
 
     Shards partition the index range into contiguous blocks, tallied by at
-    most os.cpu_count() worker threads and merged in order; because trials
-    are counter-based, the merged tally is identical for every shard count.
+    most os.cpu_count() worker threads in _SHARD_CHUNK-trial chunks and
+    merged in order; because trials are counter-based, the merged tally is
+    identical for every shard count and chunk size.
     """
     ranges = shard_ranges(cfg.trials, shards)
     if len(ranges) == 1:
@@ -334,7 +362,7 @@ def run_experiment(cfg: SimulationConfig, shards: int = 1) -> ExperimentRun:
 
         workers = min(len(ranges), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: tally_for_range(cfg, *r), ranges))
+            parts = list(pool.map(lambda r: _tally(cfg, *r, _SHARD_CHUNK), ranges))
         tally = parts[0]
         for part in parts[1:]:
             tally = merge_tallies(tally, part)

@@ -137,7 +137,9 @@ class TestSimulate:
         )
         assert (code, stdout) == (1, "")
         assert "write failed" in err and "No space" in err
-        assert chunks == [2**16]
+        from bellkit.simulate import _CHUNK  # a 70,000-trial run's first chunk is a full one
+
+        assert chunks == [_CHUNK]
         assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else [target.name])
         assert before is None or target.read_bytes() == before
 

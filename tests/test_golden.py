@@ -4,7 +4,7 @@ Every other determinism test compares the stream with itself; these
 compare it with fixed numbers, so a rewrite of the kernel, the chunking or
 the serializer cannot change a tally or an emitted byte unnoticed. The
 trial count 300,004 is a multiple of 4 (round-robin needs one) and of
-neither 2^16 nor 2^18, so the last chunk is always partial.
+none of 2^14, 2^16 and 2^18, so the last chunk is always partial.
 """
 
 import hashlib
@@ -132,8 +132,10 @@ def unit_double(word: int) -> float:
     return (word >> 11) * 2.0**-53
 
 
-# Index ranges that start the stream and cross the 2^16 and 2^18 boundaries.
-DIFF_RANGES = [(0, 40), ((1 << 16) - 20, (1 << 16) + 20), ((1 << 18) - 20, (1 << 18) + 20)]
+# Index ranges that start the stream and cross the 2^14, 2^16 and 2^18 boundaries.
+DIFF_RANGES = [
+    (0, 40), ((1 << 14) - 20, (1 << 14) + 20), ((1 << 16) - 20, (1 << 16) + 20), ((1 << 18) - 20, (1 << 18) + 20),
+]
 
 
 @pytest.mark.parametrize("seed", [0, 1, SEED_MAX])

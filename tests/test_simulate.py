@@ -5,9 +5,11 @@ the 5-standard-deviation envelopes mean that even under a seed change each
 check would fail spuriously with probability on the order of 1e-6.
 """
 
+import io
 import itertools
 import json
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -28,9 +30,12 @@ from bellkit import (
     run_experiment,
 )
 from bellkit.cli import main
-from bellkit.rng import shard_ranges, unit_doubles, unit_threshold
+from bellkit.rng import shard_ranges, trial_keys, unit_doubles, unit_threshold
 from bellkit.simulate import (
+    _CHUNK,
+    _SHARD_CHUNK,
     _chunk,
+    _tables,
     _work,
     analytic_correlation,
     correlation_probability,
@@ -38,7 +43,7 @@ from bellkit.simulate import (
     trial_arrays,
 )
 from bellkit.stats import max_strength
-from bellkit.trials import load_tally
+from bellkit.trials import _SLICE_LINES, load_tally, trial_chunk_writer
 
 
 def make_config(model="quantum", angles=CHSH_MAX_ANGLES, trials=1000, seed=7, **kw):
@@ -514,7 +519,7 @@ class TestKernel:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("bellkit.simulate.trial_words", crafted)
             patch.setattr(np, "cos", counting_cos)
-            got_k, correlated, o1 = _chunk(cfg, 0, words.size, True, _work(words.size))
+            got_k, correlated, o1 = _chunk(cfg, _tables(cfg), 0, words.size, True, _work(words.size))
         assert got_k.tolist() == k.tolist()
         assert o1.tolist() == np.where(positive1, 1, -1).tolist()
         assert correlated.tolist() == ((positive1 == positive2) != flip).tolist()
@@ -542,17 +547,17 @@ class TestKernel:
     @pytest.mark.parametrize("scheme", ["uniform_random", "round_robin"])
     @pytest.mark.parametrize("model", ["quantum", "lhv"])
     def test_tally_without_hook_matches_emitted_trials(self, model, scheme, flip, seed):
-        # a range that starts and ends off the 2^16 chunk grid
-        start, stop = 12345, 12345 + 3 * 2**16 + 7
+        # a range that starts and ends off the chunk grid
+        start, stop = 12345, 12345 + 3 * _CHUNK + 7
         cfg = make_config(
             model=model, angles=CHSH_MAX_ANGLES if model == "quantum" else LHV_ANGLES,
-            trials=4 * 2**16, seed=seed, setting_scheme=scheme, flip_station2=flip,
+            trials=stop + 4, seed=seed, setting_scheme=scheme, flip_station2=flip,
         )
         chunks = []
         hooked = tally_for_range(cfg, start, stop, write=lambda *arrays: chunks.append(arrays))
         # checked after the loop: every chunk reuses one set of kernel buffers,
         # so a chunk's arrays must not alias them
-        edges = [*range(start, stop, 2**16), stop]
+        edges = [*range(start, stop, _CHUNK), stop]
         assert len(chunks) == len(edges) - 1
         for lo, hi, chunk in zip(edges, edges[1:], chunks):
             for got, want in zip(chunk, trial_arrays(cfg, lo, hi)):
@@ -560,7 +565,7 @@ class TestKernel:
         emitted = [np.concatenate(parts) for parts in zip(*chunks)]
         # chunking is invisible: the chunks match the range in one piece, and in
         # two pieces split off the chunk grid and off the round-robin period
-        mid = start + 2**16 + 3
+        mid = start + _CHUNK + 3
         halves = zip(trial_arrays(cfg, start, mid), trial_arrays(cfg, mid, stop))
         for whole in (trial_arrays(cfg, start, stop), map(np.concatenate, halves)):
             for got, want in zip(emitted, whole):
@@ -573,6 +578,51 @@ class TestKernel:
         )
         assert tuple(tally_for_range(cfg, start, stop).to_dict().values()) == counted
         assert tuple(hooked.to_dict().values()) == counted
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("scheme", ["uniform_random", "round_robin"])
+    @pytest.mark.parametrize("model", ["quantum", "lhv"])
+    def test_chunk_size_cannot_be_observed(self, monkeypatch, model, scheme, flip):
+        # ranges that start and end off the 2^10 grid and the shipped one, and
+        # two shards of several _SHARD_CHUNK-trial chunks each, split off that grid
+        ranges = [(1021, _CHUNK + 3), (_CHUNK - 1021, 3 * _CHUNK + 1029)]
+        cfg = make_config(
+            model=model, angles=CHSH_MAX_ANGLES if model == "quantum" else LHV_ANGLES,
+            trials=4 * _SHARD_CHUNK + 12, seed=3, setting_scheme=scheme, flip_station2=flip,
+        )
+
+        def outputs():
+            """Per range, the tally and the emitted JSONL and CSV text; then the whole run's tally."""
+            got = []
+            for start, stop in ranges:
+                got.append(tally_for_range(cfg, start, stop))
+                for fmt in ("jsonl", "csv"):
+                    handle = io.StringIO()
+                    got.append(tally_for_range(cfg, start, stop, write=trial_chunk_writer(handle, fmt)))
+                    got.append(handle.getvalue())
+            return got + [run_experiment(cfg).tally]
+
+        shipped = outputs()
+        assert run_experiment(cfg, shards=2).tally == shipped[-1]
+        monkeypatch.setattr("bellkit.simulate._CHUNK", 2**10)
+        assert outputs() == shipped
+
+    def test_sharded_workers_keep_the_larger_chunk(self, monkeypatch):
+        # one thread works in _CHUNK-trial chunks; a sharded worker in
+        # _SHARD_CHUNK-trial ones, so that each numpy call's work outweighs
+        # its GIL handoff
+        sizes = []
+
+        def recording(seed, start, stop, out):
+            sizes.append(stop - start)
+            return trial_keys(seed, start, stop, out=out)
+
+        monkeypatch.setattr("bellkit.simulate.trial_keys", recording)
+        cfg = make_config(trials=4 * _SHARD_CHUNK)
+        for shards, chunk in ((1, _CHUNK), (2, _SHARD_CHUNK)):
+            sizes.clear()
+            run_experiment(cfg, shards=shards)
+            assert set(sizes) == {chunk}
 
     @pytest.mark.parametrize("scheme", ["uniform_random", "round_robin"])
     @pytest.mark.parametrize("model", ["quantum", "lhv"])
@@ -598,21 +648,33 @@ class TestKernel:
         assert code == 0
         assert load_tally(out)[0] == want
 
+    @pytest.mark.parametrize("emit", [False, True], ids=["tally", "emit"])
     @pytest.mark.parametrize("scheme", ["uniform_random", "round_robin"])
     @pytest.mark.parametrize("model", ["quantum", "lhv"])
-    def test_tally_memory_bounded_by_the_chunk(self, model, scheme):
+    def test_tally_memory_bounded_by_the_chunk(self, model, scheme, emit):
         def peak(trials):
             cfg = make_config(model=model, trials=trials, seed=1, setting_scheme=scheme)
-            tracemalloc.start()
-            try:
-                tally_for_range(cfg, 0, trials)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            with open(os.devnull, "w", encoding="utf-8") as handle:
+                write = trial_chunk_writer(handle, "jsonl") if emit else None
+                tracemalloc.start()
+                try:
+                    tally_for_range(cfg, 0, trials, write=write)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
 
-        peak(2**16)  # warm-up: numpy's first-use allocations are not the kernel's
+        peak(_CHUNK)  # warm-up: numpy's first-use allocations are not the kernel's
         small, large = peak(2**18), peak(2**21)
-        # the same up to interpreter objects, which move the peak by under 1 KiB;
-        # one chunk-sized buffer kept per chunk would add 512 KiB per 2^16 trials
+        # the same up to interpreter objects, which move the peak by under 4 KiB;
+        # one chunk-sized buffer kept per chunk would add 8 * _CHUNK bytes per chunk
         assert abs(large - small) <= 4096
-        assert large <= 4 * 2**20  # eight 2^16-element 64-bit buffers
+        # five 64-bit arrays of a chunk (four work buffers and a mixing
+        # temporary), two bool ones, and 64 KiB of interpreter and numpy
+        # objects, which do not grow with the chunk
+        budget = 5 * 8 * _CHUNK + 2 * _CHUNK + 2**16
+        if emit:
+            # the chunk's four int8 trial arrays, its int8 line index and one
+            # temporary, and a slice's text (at most 32 characters a line),
+            # its encoded bytes and its two lists of line pointers
+            budget += 6 * _CHUNK + (2 * 32 + 2 * 8) * _SLICE_LINES
+        assert large <= budget

@@ -33,7 +33,7 @@ from bellkit import (
     write_tally,
 )
 from bellkit import trials
-from bellkit.trials import COUNT_MAX, trial_chunk_writer, write_atomic
+from bellkit.trials import COUNT_MAX, _SLICE_LINES, trial_chunk_writer, write_atomic
 
 trial_records = st.builds(
     TrialRecord,
@@ -233,13 +233,13 @@ class TestMemoizedIngest:
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_emit_writes_a_chunk_in_bounded_slices(self, fmt):
-        # eight full slices of 8192 lines and a partial one
+        # eight full slices of _SLICE_LINES lines and a partial one
         rng = np.random.default_rng(25)
-        s1, s2 = rng.integers(0, 2, size=(2, 2**16 + 3), dtype=np.int8)
-        o1, o2 = 2 * rng.integers(0, 2, size=(2, 2**16 + 3), dtype=np.int8) - 1
+        s1, s2 = rng.integers(0, 2, size=(2, 8 * _SLICE_LINES + 3), dtype=np.int8)
+        o1, o2 = 2 * rng.integers(0, 2, size=(2, 8 * _SLICE_LINES + 3), dtype=np.int8) - 1
         writes = []
         trial_chunk_writer(mock.Mock(write=writes.append), fmt)(s1, s2, o1, o2)
-        assert [text.count("\n") for text in writes] == [8192] * 8 + [3]
+        assert [text.count("\n") for text in writes] == [_SLICE_LINES] * 8 + [3]
         records = (TrialRecord(*map(int, trial)) for trial in zip(s1, s2, o1, o2))
         assert "".join(writes) == "".join(serialize_trial_line(rec, fmt) + "\n" for rec in records)
 
